@@ -56,7 +56,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -455,9 +454,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _cmd_bench_cell(args: argparse.Namespace) -> int:
     """``repro bench --cell NAME``: one sharded cluster replay."""
     from repro.bench import cluster_report, run_cluster_cell, write_report
-    # Shard subprocesses inherit os.environ, so the queue knob reaches
-    # every shard's Environment through the selection env var.
-    os.environ["REPRO_SIM_QUEUE"] = args.queue
     row = run_cluster_cell(args.cell, log=print,
                            isolate=not args.inline,
                            shards=args.shards, workers=args.workers)
@@ -523,8 +519,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = BenchConfig(invocations=args.invocations,
                          functions=args.functions,
                          seed=args.seed, window_ms=args.window,
-                         tile_invocations=args.tile_invocations,
-                         queue=args.queue)
+                         tile_invocations=args.tile_invocations)
     if args.window_cells:
         return _cmd_bench_windows(args, config)
     try:
@@ -1029,9 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dispatch window in ms")
     bench.add_argument("--tile-invocations", type=int, default=4000,
                        help="arrivals per scenario minute (burst density)")
-    bench.add_argument("--queue", choices=("calendar", "heap"),
-                       default="calendar",
-                       help="kernel event-queue implementation to measure")
     bench.add_argument("--cell", default=None, metavar="NAME",
                        help="run a named sharded cluster cell "
                             "(azure-smoke, azure-full) instead of the "

@@ -490,10 +490,15 @@ def run_sharded_cluster(config: ShardedClusterConfig,
     results: List[ShardResult] = []
     failures: List[str] = []
     for index, (proc, reader) in enumerate(zip(procs, readers)):
-        code = proc.wait()
-        reader.join()
+        # Drain stderr before waiting (its reader drains stdout), so this
+        # shard never blocks on a full pipe; a later shard that floods
+        # stderr just waits for its turn.  (A reader thread per stderr
+        # pipe would do the same, but each extra thread can bring its own
+        # malloc arena and raises the coordinator's peak RSS.)
         assert proc.stderr is not None
         stderr = proc.stderr.read()
+        code = proc.wait()
+        reader.join()
         if code != 0 or reader.result_payload is None:
             tail = "\n".join(stderr.strip().splitlines()[-12:])
             detail = reader.error or f"exit {code}"

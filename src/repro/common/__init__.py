@@ -1,4 +1,4 @@
-"""Shared primitives: errors, units, ids, statistics, histograms, tables."""
+"""Shared primitives: errors, units, ids, statistics, tables."""
 
 from repro.common.cdf import CdfPoint, EmpiricalCdf, describe_cdf
 from repro.common.errors import (
@@ -17,14 +17,11 @@ from repro.common.errors import (
     StopSimulation,
     WorkloadError,
 )
-from repro.common.histogram import Bucket, BucketHistogram
 from repro.common.ids import IdFactory
 from repro.common.stats import Ewma, SampleStats, mean, percentile
 from repro.common.tables import render_table, to_csv
 
 __all__ = [
-    "Bucket",
-    "BucketHistogram",
     "CapacityExceeded",
     "CdfPoint",
     "ConfigurationError",

@@ -21,7 +21,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Set
 
 from repro.common.errors import ContainerStateError, InvocationTimeout
 from repro.local.multiplexer import ResourceMultiplexer
@@ -203,6 +203,10 @@ class LocalContainer:
         self._active = 0
         self._lock = threading.Lock()
         self._idle_workers: List[_PooledWorker] = []
+        #: Every worker the pool ever started, and those still running a
+        #: handler that overran its budget (not waited for by ``stop``).
+        self._workers: List[_PooledWorker] = []
+        self._abandoned: Set[_PooledWorker] = set()
         self._worker_counter = 0
         self.workers_created = 0
         self.invocations_served = 0
@@ -222,15 +226,26 @@ class LocalContainer:
     def is_idle(self) -> bool:
         return self.active_invocations == 0 and not self.stopped
 
-    def stop(self) -> None:
+    def stop(self, timeout: Optional[float] = None) -> None:
+        """Retire the worker pool; with *timeout*, wait for it to exit.
+
+        Workers still running an overrunning handler are not waited for:
+        they retire themselves when the handler finally returns.
+        """
         if self.active_invocations:
             raise ContainerStateError(
                 f"{self.container_id} is busy ({self.active_invocations})")
         with self._lock:
             self.stopped = True
             idle, self._idle_workers = self._idle_workers, []
+            waited = [worker for worker in self._workers
+                      if worker not in self._abandoned]
         for worker in idle:
             worker.retire()
+        if timeout is not None:
+            deadline = time.monotonic() + timeout
+            for worker in waited:
+                worker.thread.join(max(0.0, deadline - time.monotonic()))
 
     # -- worker pool --------------------------------------------------------------
 
@@ -241,10 +256,14 @@ class LocalContainer:
             self._worker_counter += 1
             self.workers_created += 1
             index = self._worker_counter
-        return _PooledWorker(self.container_id, index, self._park)
+        worker = _PooledWorker(self.container_id, index, self._park)
+        with self._lock:
+            self._workers.append(worker)
+        return worker
 
     def _park(self, worker: _PooledWorker) -> None:
         with self._lock:
+            self._abandoned.discard(worker)
             if not self.stopped:
                 self._idle_workers.append(worker)
                 return
@@ -330,10 +349,13 @@ class LocalContainer:
             finally:
                 finished.set()
 
-        self._checkout().submit(call)
+        worker = self._checkout()
+        worker.submit(call)
         if not finished.wait(self.timeout_seconds):
             with self._lock:
                 self.invocations_timed_out += 1
+                if not finished.is_set():
+                    self._abandoned.add(worker)
             return None, InvocationTimeout(
                 f"{invocation.invocation_id} exceeded "
                 f"{self.timeout_seconds}s on {self.container_id} "

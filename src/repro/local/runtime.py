@@ -262,7 +262,8 @@ class LocalPlatform:
         Idempotent.  Submissions that arrive while draining raise
         :class:`~repro.common.errors.PlatformDraining`; after the
         dispatcher stops they raise
-        :class:`~repro.common.errors.PlatformStopped`.
+        :class:`~repro.common.errors.PlatformStopped`.  Every warm
+        container is stopped and its worker threads joined.
         """
         with self._inflight_lock:
             if self._state == STATE_STOPPED:
@@ -273,6 +274,12 @@ class LocalPlatform:
         self._dispatcher.join(timeout)
         if self._janitor is not None:
             self._janitor.join(timeout)
+        with self._pool_lock:
+            containers = [container for idle in self._idle.values()
+                          for container in idle]
+        deadline = time.monotonic() + timeout
+        for container in containers:
+            container.stop(max(0.0, deadline - time.monotonic()))
         with self._inflight_lock:
             self._state = STATE_STOPPED
 

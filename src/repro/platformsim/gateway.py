@@ -9,11 +9,11 @@ Injection is the kernel's batch-arrival fast path: the injector is a plain
 event callback (no generator process), it submits a whole same-instant
 burst of arrivals in one pass without touching the event queue between
 records, and it re-arms a single reusable timer per inter-arrival gap — a
-sequence-number bump and one bucket append in the calendar queue.  The
-observable schedule is bit-identical to the historical generator replay:
-each positive gap costs exactly one timer event with the same
-``now + delay`` float arithmetic and the same sequence allocation point,
-and zero-delay records are submitted inline exactly as the generator did.
+sequence-number bump and one heap push.  The observable schedule is
+bit-identical to the historical generator replay: each positive gap costs
+exactly one timer event with the same ``now + delay`` float arithmetic and
+the same sequence allocation point, and zero-delay records are submitted
+inline exactly as the generator did.
 """
 
 from __future__ import annotations

@@ -1,54 +1,30 @@
-"""Pluggable future-event structures for the simulation kernel.
+"""The simulation kernel's future-event structure: one binary heap.
 
 The kernel splits its pending events into two tiers: *current-instant*
 events live in plain deques inside :class:`~repro.sim.kernel.Environment`
 (urgent before normal, FIFO within each class), and *future* events — the
-only ones that ever carry a timestamp beyond ``now`` — live in one of the
-structures defined here, selected per environment via the
-:class:`EventQueue` protocol (mirroring the ``CpuEngine`` registry pattern).
+only ones that ever carry a timestamp beyond ``now`` — live in the
+:class:`HeapQueue` defined here: O(log n) push and pop over flat
+``(when, seq, event)`` triples, as in SimPy.
 
-Two implementations are provided:
+The module keeps its historical name because the benchmark's layer map
+(``perfbench/layers.py``) names it.
 
-``HeapQueue``
-    The classic binary heap (the kernel's historical structure): O(log n)
-    push and pop over flat ``(when, seq, event)`` triples.  Kept as the
-    A/B baseline and fallback — it wins at very small pending counts and
-    for pathologically clustered timestamps.
+Ordering contract: pops come out in ascending ``(when, seq)`` — *seq* is
+the kernel's monotone sequence number, so events scheduled for the same
+instant preserve FIFO creation order.
 
-``CalendarQueue``
-    A calendar queue (Brown 1988): a ring of ``N`` buckets (``N`` a power
-    of two) of width ``w`` milliseconds (``w`` a power of two), where an
-    event at time ``t`` lives in virtual bucket ``floor(t / w)``, mapped
-    onto the ring by ``vb & (N - 1)``.  The bucket currently being drained
-    (the *front window*) is kept sorted; pushes landing inside it bisect
-    in, pushes beyond it append to their bucket unsorted — O(1).  When the
-    front drains, the ring is scanned forward for the next non-empty
-    window (one lap at most; a fruitless lap falls back to a direct
-    minimum search, which handles far-future outliers a whole "year"
-    ahead).  Lazy resize keeps occupancy near one entry per bucket:
-    crossing the occupancy threshold rebuilds with a power-of-two bucket
-    count sized to the entry count and a power-of-two width derived from
-    the observed average gap.
-
-Ordering contract (both implementations): pops come out in ascending
-``(when, seq)`` — *seq* is the kernel's monotone sequence number, so events
-scheduled for the same instant preserve FIFO creation order, bit-identical
-to the historical single-heap kernel.
-
-Cancellation is lazy in both structures: a cancelled :class:`Timeout`
-stays as a *tombstone* until the structure would surface it (dropped and
-accounted against ``env._cancelled``) or until :meth:`compact` sweeps it
-(called by the environment once tombstones outnumber live entries, which
-bounds memory exactly as the historical heap compaction did).
+Cancellation is lazy: a cancelled :class:`Timeout` stays as a *tombstone*
+until the heap would surface it (dropped and accounted against
+``env._cancelled``) or until :meth:`HeapQueue.compact` sweeps it (called
+by the environment once tombstones outnumber live entries, which bounds
+memory).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from bisect import insort
-from typing import (Any, Callable, Dict, List, Protocol, Tuple,
-                    TYPE_CHECKING, runtime_checkable)
+from typing import Any, List, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.sim.kernel import Event
@@ -60,41 +36,8 @@ Entry = Tuple[float, int, "Event"]
 _INF = float("inf")
 
 
-@runtime_checkable
-class EventQueue(Protocol):
-    """The future-event structure an :class:`Environment` requires.
-
-    Both implementations honour the ordering contract in the module
-    docstring: pops ascend by ``(when, seq)``, tombstones are dropped
-    lazily at the surface (accounted against ``env._cancelled``) or swept
-    by :meth:`compact`.
-    """
-
-    name: str
-
-    def __len__(self) -> int: ...
-
-    def push(self, when: float, seq: int, event: "Event") -> None: ...
-
-    def push_batch(self, entries: List[Entry]) -> None: ...
-
-    def min_when(self) -> float: ...
-
-    def pop(self) -> "Event": ...
-
-    def next_due(self, now: float) -> Any: ...
-
-    def pop_until(self, bound: float) -> Any: ...
-
-    def compact(self) -> int: ...
-
-    def entries(self) -> List[Entry]: ...
-
-
 class HeapQueue:
-    """Binary-heap future-event structure (the pre-calendar kernel queue)."""
-
-    name = "heap"
+    """Binary-heap future-event structure (see module docstring)."""
 
     __slots__ = ("_heap",)
 
@@ -212,331 +155,4 @@ class HeapQueue:
         return list(self._heap)
 
 
-class CalendarQueue:
-    """Calendar-queue future-event structure (see module docstring)."""
-
-    name = "calendar"
-
-    #: Bucket-count bounds (both powers of two).
-    MIN_BUCKETS = 16
-    MAX_BUCKETS = 1 << 16
-    #: Bucket-width bounds in milliseconds (both powers of two).
-    MIN_WIDTH = 2.0 ** -20
-    MAX_WIDTH = 2.0 ** 30
-
-    __slots__ = ("_buckets", "_mask", "_width", "_inv_width", "_count",
-                 "_front", "_front_pos", "_front_vb")
-
-    def __init__(self, width: float = 1.0,
-                 buckets: int = MIN_BUCKETS) -> None:
-        if buckets < 1 or buckets & (buckets - 1):
-            raise ValueError(f"buckets must be a power of two, got {buckets}")
-        mantissa, _exp = math.frexp(width)
-        if width <= 0 or mantissa != 0.5:
-            raise ValueError(f"width must be a power of two, got {width}")
-        self._width = width
-        self._inv_width = 1.0 / width  # exact for powers of two
-        self._buckets: List[List[Entry]] = [[] for _ in range(buckets)]
-        self._mask = buckets - 1
-        #: Entries held (live + tombstones), across buckets and the
-        #: unconsumed tail of the front window.
-        self._count = 0
-        #: The sorted front window (virtual bucket ``_front_vb``) with a
-        #: consumption cursor; pushes at or before this window bisect in.
-        self._front: List[Entry] = []
-        self._front_pos = 0
-        self._front_vb = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    # -- scheduling ------------------------------------------------------------
-
-    def push(self, when: float, seq: int, event: "Event") -> None:
-        if int(when * self._inv_width) <= self._front_vb:
-            # Inside (or before) the open front window: keep it sorted.
-            insort(self._front, (when, seq, event), self._front_pos)
-        else:
-            self._buckets[int(when * self._inv_width) & self._mask].append(
-                (when, seq, event))
-        self._count += 1
-        if (self._count > (self._mask + 1) << 2
-                and self._mask + 1 < self.MAX_BUCKETS):
-            self._resize()
-
-    def push_batch(self, entries: List[Entry]) -> None:
-        """Bulk push of entries sorted by ``(when, seq)`` ascending.
-
-        Entries beyond the front window append straight to their buckets
-        (the per-push resize/occupancy checks run once for the batch);
-        same-bucket runs cost one append each with no comparisons at all.
-        """
-        front_vb = self._front_vb
-        inv_width = self._inv_width
-        buckets = self._buckets
-        mask = self._mask
-        for entry in entries:
-            vb = int(entry[0] * inv_width)
-            if vb <= front_vb:
-                insort(self._front, entry, self._front_pos)
-            else:
-                buckets[vb & mask].append(entry)
-        self._count += len(entries)
-        if (self._count > (mask + 1) << 2
-                and mask + 1 < self.MAX_BUCKETS):
-            self._resize()
-
-    # -- draining --------------------------------------------------------------
-
-    def min_when(self) -> float:
-        """Time of the earliest live entry (+inf when empty).
-
-        Tombstones surfacing at the front cursor are dropped here,
-        accounted against their environment's cancellation counter.
-        """
-        while True:
-            front = self._front
-            pos = self._front_pos
-            length = len(front)
-            while pos < length:
-                entry = front[pos]
-                event = entry[2]
-                if not event.cancelled:
-                    self._front_pos = pos
-                    return entry[0]
-                event._callbacks = None
-                event.env._cancelled -= 1
-                self._count -= 1
-                pos += 1
-            if length:
-                self._front = []
-            self._front_pos = 0
-            if not self._count:
-                return _INF
-            self._fill_front()
-
-    def pop(self) -> "Event":
-        """Remove and return the earliest live event."""
-        while True:
-            front = self._front
-            pos = self._front_pos
-            if pos < len(front):
-                event = front[pos][2]
-                self._front_pos = pos + 1
-                self._count -= 1
-                if not event.cancelled:
-                    return event
-                event._callbacks = None
-                event.env._cancelled -= 1
-                continue
-            if front:
-                self._front = []
-            self._front_pos = 0
-            if not self._count:
-                raise IndexError("pop from an empty CalendarQueue")
-            self._fill_front()
-
-    def next_due(self, now: float) -> "Any":
-        """Pop and return the earliest live event if due (``when <= now``);
-        otherwise return its firing time as a float (``inf`` when empty),
-        leaving it queued.
-
-        Fuses the kernel's ``min_when`` + ``pop`` pair into one call on
-        the dispatch hot path; the common case (a live entry at the front
-        cursor) is a few list index operations either way.
-        """
-        while True:
-            front = self._front
-            pos = self._front_pos
-            if pos < len(front):
-                entry = front[pos]
-                event = entry[2]
-                if not event.cancelled:
-                    when = entry[0]
-                    if when <= now:
-                        self._front_pos = pos + 1
-                        self._count -= 1
-                        return event
-                    return when
-                self._front_pos = pos + 1
-                self._count -= 1
-                event._callbacks = None
-                event.env._cancelled -= 1
-                continue
-            if front:
-                self._front = []
-            self._front_pos = 0
-            if not self._count:
-                return _INF
-            self._fill_front()
-
-    def pop_until(self, bound: float) -> "Any":
-        """Pop and return the earliest live *entry* if ``when <= bound``;
-        otherwise return its firing time as a float (``inf`` when empty).
-
-        See :meth:`HeapQueue.pop_until` — the hook-free kernel loop's
-        fused peek/advance/pop operation.
-        """
-        while True:
-            front = self._front
-            pos = self._front_pos
-            if pos < len(front):
-                entry = front[pos]
-                event = entry[2]
-                if not event.cancelled:
-                    if entry[0] <= bound:
-                        self._front_pos = pos + 1
-                        self._count -= 1
-                        return entry
-                    return entry[0]
-                self._front_pos = pos + 1
-                self._count -= 1
-                event._callbacks = None
-                event.env._cancelled -= 1
-                continue
-            if front:
-                self._front = []
-            self._front_pos = 0
-            if not self._count:
-                return _INF
-            self._fill_front()
-
-    def _fill_front(self) -> None:
-        """Advance the window to the next non-empty virtual bucket.
-
-        Scans at most one lap of the ring; a fruitless lap means every
-        pending entry is at least a full "year" ahead (far-future
-        outliers), so fall back to a direct minimum search and jump.
-        Precondition: ``_count > 0`` and the front is consumed.
-        """
-        mask = self._mask
-        if self._count < (mask + 1) >> 3 and mask + 1 > self.MIN_BUCKETS:
-            self._resize()
-            mask = self._mask
-        buckets = self._buckets
-        inv_width = self._inv_width
-        vb = self._front_vb + 1
-        for _ in range(mask + 1):
-            bucket = buckets[vb & mask]
-            if bucket:
-                matched = [e for e in bucket if int(e[0] * inv_width) == vb]
-                if matched:
-                    if len(matched) == len(bucket):
-                        bucket.clear()
-                    else:
-                        bucket[:] = [e for e in bucket
-                                     if int(e[0] * inv_width) != vb]
-                    matched.sort()
-                    self._front = matched
-                    self._front_vb = vb
-                    return
-            vb += 1
-        # Year rollover: everything pending lives beyond one full lap.
-        vb = min(int(e[0] * inv_width)
-                 for bucket in buckets for e in bucket)
-        bucket = buckets[vb & mask]
-        matched = [e for e in bucket if int(e[0] * inv_width) == vb]
-        bucket[:] = [e for e in bucket if int(e[0] * inv_width) != vb]
-        matched.sort()
-        self._front = matched
-        self._front_vb = vb
-
-    # -- maintenance ------------------------------------------------------------
-
-    def compact(self) -> int:
-        """Physically drop every tombstone; returns the number removed."""
-        removed = 0
-        for bucket in self._buckets:
-            live = [e for e in bucket if not e[2].cancelled]
-            if len(live) != len(bucket):
-                for e in bucket:
-                    if e[2].cancelled:
-                        e[2]._callbacks = None
-                removed += len(bucket) - len(live)
-                bucket[:] = live
-        front = self._front
-        pos = self._front_pos
-        if pos < len(front):
-            tail = [e for e in front[pos:] if not e[2].cancelled]
-            dropped = len(front) - pos - len(tail)
-            if dropped:
-                for e in front[pos:]:
-                    if e[2].cancelled:
-                        e[2]._callbacks = None
-                removed += dropped
-                front[pos:] = tail
-        self._count -= removed
-        return removed
-
-    def _resize(self) -> None:
-        """Rebuild with bucket count/width matched to current occupancy.
-
-        Targets about one live entry per bucket, with a power-of-two
-        width near twice the observed average gap (so a window holds a
-        couple of events).  Tombstones are swept for free on the way.
-        """
-        live: List[Entry] = []
-        for entry in self.entries():
-            event = entry[2]
-            if event.cancelled:
-                event._callbacks = None
-                event.env._cancelled -= 1
-            else:
-                live.append(entry)
-        count = len(live)
-        live.sort()
-        buckets_wanted = self.MIN_BUCKETS
-        while buckets_wanted < count and buckets_wanted < self.MAX_BUCKETS:
-            buckets_wanted <<= 1
-        width = self._width
-        if count >= 2:
-            span = live[-1][0] - live[0][0]
-            if span > 0.0:
-                # Smallest power of two >= 2 * average gap.
-                _m, exp = math.frexp(2.0 * span / (count - 1))
-                width = min(max(2.0 ** exp, self.MIN_WIDTH), self.MAX_WIDTH)
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets = [[] for _ in range(buckets_wanted)]
-        self._mask = buckets_wanted - 1
-        self._count = 0
-        self._front = []
-        self._front_pos = 0
-        if live:
-            self._front_vb = int(live[0][0] * self._inv_width) - 1
-            self.push_batch(live)
-        else:
-            self._front_vb = 0
-
-    def entries(self) -> List[Entry]:
-        """Snapshot of pending entries (live + tombstones), unordered."""
-        out = self._front[self._front_pos:]
-        for bucket in self._buckets:
-            out.extend(bucket)
-        return out
-
-
-#: Future-event structures selectable by name (``Environment(queue=...)``
-#: or the ``REPRO_SIM_QUEUE`` environment variable); "calendar" is the
-#: default, "heap" the A/B baseline — mirroring the ``CPU_ENGINES`` map.
-EVENT_QUEUES: Dict[str, Callable[[], Any]] = {
-    "calendar": CalendarQueue,
-    "heap": HeapQueue,
-}
-
-DEFAULT_QUEUE = "calendar"
-
-
-def make_queue(name: str) -> Any:
-    """Construct the named future-event structure."""
-    try:
-        factory = EVENT_QUEUES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown event queue {name!r}; "
-            f"expected one of {sorted(EVENT_QUEUES)}") from None
-    return factory()
-
-
-__all__ = ["CalendarQueue", "HeapQueue", "EVENT_QUEUES", "DEFAULT_QUEUE",
-           "make_queue"]
+__all__ = ["Entry", "HeapQueue"]

@@ -29,12 +29,8 @@ event ordering of the historical single-heap implementation:
   schedule_batch` / :meth:`Environment.process_batch`).
 * **Future events** — only normal-priority timeouts can carry a timestamp
   beyond ``now`` (urgent events are always scheduled at the current
-  instant) — live in a pluggable structure behind the ``EventQueue``
-  protocol (:mod:`repro.sim.calendar_queue`): a calendar queue by default
-  (O(1) amortized push/pop for the dense, near-uniform timestamp
-  distributions these workloads produce), with the classic binary heap
-  selectable for A/B benchmarking via ``Environment(queue="heap")`` or
-  ``REPRO_SIM_QUEUE=heap``.
+  instant) — live in one binary heap
+  (:class:`~repro.sim.calendar_queue.HeapQueue`), as in SimPy.
 * Dispatch order at one instant is: the urgent deque, then future-queue
   entries that have reached their time (they were created at earlier
   instants, hence earlier in FIFO terms), then the immediate deque —
@@ -65,7 +61,6 @@ Example
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import (
     Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple,
@@ -76,7 +71,7 @@ from repro.common.errors import (
     ProcessInterrupted,
     SimulationError,
 )
-from repro.sim.calendar_queue import DEFAULT_QUEUE, make_queue
+from repro.sim.calendar_queue import HeapQueue
 
 #: Type of the generator a :class:`Process` drives.
 ProcessGenerator = Generator["Event", Any, Any]
@@ -87,9 +82,6 @@ ProcessGenerator = Generator["Event", Any, Any]
 #: a heap key, but the observable order is unchanged.)
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
-
-#: Environment variable consulted for the default future-event structure.
-QUEUE_ENV_VAR = "REPRO_SIM_QUEUE"
 
 #: Shared sentinel for "pending, no waiters attached yet" (``None`` still
 #: means processed).  Being falsy and immutable, one instance serves every
@@ -520,22 +512,17 @@ class Environment:
 
     __slots__ = ("_now", "_urgent", "_immediate", "_future", "_sequence",
                  "_cancelled", "events_processed", "active_process",
-                 "_time_hooks", "queue_name")
+                 "_time_hooks")
 
-    def __init__(self, initial_time: float = 0.0,
-                 queue: Optional[str] = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = initial_time
         #: Current-instant deques: urgent (process starts, interrupts,
         #: deferred callbacks) fires before immediate (normal triggers).
         self._urgent: deque = deque()
         self._immediate: deque = deque()
-        if queue is None:
-            queue = os.environ.get(QUEUE_ENV_VAR) or DEFAULT_QUEUE
-        #: Future-event structure (calendar queue or heap); holds only
-        #: normal-priority entries with ``when > now`` at creation.
-        self._future = make_queue(queue)
-        #: Which future-event structure this environment runs on.
-        self.queue_name = queue
+        #: Future-event heap; holds only normal-priority entries with
+        #: ``when > now`` at creation.
+        self._future = HeapQueue()
         self._sequence = 0
         self._cancelled = 0
         #: Count of events actually processed (cancelled ones excluded);
@@ -656,9 +643,9 @@ class Environment:
 
         Equivalent to ``[timeout_at(w, value) for w in whens]`` — identical
         events, identical ordering — but the future-queue insertion happens
-        once for the whole monotone run (one bucket append per entry in the
-        calendar queue, a single sorted-merge in the heap), which is what
-        makes replaying a pre-sorted arrival schedule cheap.
+        once for the whole monotone run (a plain ``extend`` when the heap is
+        empty), which is what makes replaying a pre-sorted arrival schedule
+        cheap.
         """
         now = self._now
         previous = now

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.cluster import run_cluster_experiment
+from repro.cluster import run_cluster_experiment, sharded
 from repro.cluster.sharded import (
     SHARD_SCHEDULERS,
     ShardResult,
@@ -108,6 +108,20 @@ class TestSubprocessCoordinator:
                 == inline.sink.latency_percentile(q)
         # Subprocess shards report their own (small) RSS, not the parent's.
         assert 0 < isolated.max_shard_rss_mb
+
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_stderr_flood_fails_with_tail(self, code, stderr_flood,
+                                          monkeypatch):
+        # Neither child sends a result, so both shards fail; the flood
+        # must not deadlock the coordinator before it can say so.
+        monkeypatch.setattr(sharded, "_spawn_shard",
+                            lambda _config, _index: stderr_flood(code))
+        with pytest.raises(SimulationError) as failure:
+            run_sharded_cluster(SMALL, isolate=True)
+        message = str(failure.value)
+        for index in range(SMALL.shards):
+            assert f"shard {index} failed (exit {code}):" in message
+        assert message.count("last words") == SMALL.shards
 
 
 class TestMergeShardResults:

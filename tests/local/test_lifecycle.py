@@ -91,6 +91,19 @@ class TestLifecycle:
         platform.shutdown()  # second call must be a no-op
         assert platform.state == STATE_STOPPED
 
+    def test_shutdown_stops_container_workers(self):
+        before = set(threading.enumerate())
+        platform = make_platform()
+        platform.register("echo2", lambda payload, context: payload)
+        futures = (platform.invoke_many("echo", list(range(8)))
+                   + platform.invoke_many("echo2", list(range(8))))
+        assert [f.result(timeout=5) for f in futures] == list(range(8)) * 2
+        assert platform.containers_created >= 2
+        platform.shutdown()
+        alive = [thread.name for thread in threading.enumerate()
+                 if thread not in before and ":worker-" in thread.name]
+        assert alive == []
+
     def test_registered_functions_survive_shutdown(self):
         platform = make_platform()
         platform.shutdown()

@@ -1,43 +1,35 @@
-"""Property suite: CalendarQueue is observationally equal to HeapQueue.
+"""Property suite: HeapQueue against a sorted-list reference model.
 
-Drives both future-event structures through identical random operation
-sequences (push, push_batch, pop, next_due, pop_until, min_when, cancel,
-compact) and asserts every observable output matches: pop order (including
-FIFO ties at the same instant), peeked firing times, and tombstone
-accounting against the owning environment's cancellation counter.
+Drives the kernel's future-event heap through random operation sequences
+(push, push_batch, pop, next_due, pop_until, min_when, cancel, compact)
+and checks every observable output against a plain sorted list of live
+``(when, seq)`` keys: pop order (including FIFO ties at the same
+instant), peeked firing times, and tombstone accounting against the
+owning environment's cancellation counter.
 
-The timestamp strategy deliberately mixes regimes the calendar queue is
-sensitive to: dense sub-width clusters, sparse spreads, same-instant
-bursts (seq-order ties), and far-future outliers a whole ring "year"
-ahead (forcing the one-lap scan to fall back to the direct minimum
-search).  A kernel-level test replays one random timeout/cancel workload
-on two :class:`Environment` instances — one per queue — and asserts the
-simulated outcomes and ``events_processed`` agree exactly.
+The timestamp strategy mixes dense sub-millisecond clusters, sparse
+spreads, same-instant bursts (seq-order ties) and far-future outliers.  A
+kernel-level test replays one random timeout/cancel workload on an
+:class:`Environment` and checks that the timeouts fire in the model's
+``(when, creation order)`` order.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.calendar_queue import (
-    DEFAULT_QUEUE,
-    EVENT_QUEUES,
-    CalendarQueue,
-    EventQueue,
-    HeapQueue,
-    make_queue,
-)
+from repro.sim.calendar_queue import HeapQueue
 from repro.sim.kernel import Environment
 
 _INF = float("inf")
 
 
 class _FakeEnv:
-    """Just the cancellation counter the queues account against."""
+    """Just the cancellation counter the queue accounts against."""
 
     __slots__ = ("_cancelled",)
 
@@ -46,7 +38,7 @@ class _FakeEnv:
 
 
 class _FakeEvent:
-    """The three attributes the queue structures touch, nothing more."""
+    """The three attributes the queue touches, plus an id for the model."""
 
     __slots__ = ("uid", "cancelled", "_callbacks", "env")
 
@@ -57,129 +49,112 @@ class _FakeEvent:
         self.env = env
 
 
-class _Mirror:
-    """One logical pending set mirrored into both queue implementations.
+class _Checked:
+    """A HeapQueue driven in lockstep with a sorted list of live keys.
 
-    Every push creates twin events (same uid, same ``(when, seq)``) so a
-    cancellation can mark both twins without sharing tombstone-accounting
-    state between the queues.
+    The model holds ``(when, seq)`` for every live (pushed, not popped,
+    not cancelled) entry; ``seq`` doubles as the event's uid.  After each
+    operation the environment's cancellation counter must equal the number
+    of tombstones the heap still physically holds.
     """
 
     def __init__(self) -> None:
-        self.heap = HeapQueue()
-        self.calendar = CalendarQueue()
-        self.heap_env = _FakeEnv()
-        self.calendar_env = _FakeEnv()
+        self.queue = HeapQueue()
+        self.env = _FakeEnv()
         self.seq = 0
-        self.pending: dict[int, tuple[_FakeEvent, _FakeEvent]] = {}
-        self.live = 0
-        self.cancelled_pending = 0
+        self.model: list[tuple[float, int]] = []
+        self.events: dict[int, _FakeEvent] = {}
+
+    @property
+    def live(self) -> int:
+        return len(self.model)
+
+    def _new(self, when: float) -> tuple[float, int, _FakeEvent]:
+        self.seq += 1
+        event = _FakeEvent(self.seq, self.env)
+        self.events[self.seq] = event
+        bisect.insort(self.model, (when, self.seq))
+        return when, self.seq, event
+
+    def _take_head(self) -> tuple[float, int]:
+        head = self.model.pop(0)
+        del self.events[head[1]]
+        return head
+
+    def check_tombstones(self) -> None:
+        tombstones = sum(1 for entry in self.queue.entries()
+                         if entry[2].cancelled)
+        assert self.env._cancelled == tombstones
+        assert len(self.queue) == self.live + tombstones
 
     def push(self, when: float) -> None:
-        self.seq += 1
-        uid = self.seq
-        a = _FakeEvent(uid, self.heap_env)
-        b = _FakeEvent(uid, self.calendar_env)
-        self.heap.push(when, self.seq, a)
-        self.calendar.push(when, self.seq, b)
-        self.pending[uid] = (a, b)
-        self.live += 1
+        self.queue.push(*self._new(when))
 
     def push_batch(self, whens: list[float]) -> None:
-        """Bulk push through each queue's sorted-batch entry point."""
-        heap_entries = []
-        calendar_entries = []
-        for when in sorted(whens):
-            self.seq += 1
-            uid = self.seq
-            a = _FakeEvent(uid, self.heap_env)
-            b = _FakeEvent(uid, self.calendar_env)
-            heap_entries.append((when, self.seq, a))
-            calendar_entries.append((when, self.seq, b))
-            self.pending[uid] = (a, b)
-            self.live += 1
-        self.heap.push_batch(heap_entries)
-        self.calendar.push_batch(calendar_entries)
+        """Bulk push through the heap's sorted-batch entry point."""
+        self.queue.push_batch([self._new(when) for when in sorted(whens)])
 
     def cancel(self, uid: int) -> None:
-        a, b = self.pending[uid]
-        assert not a.cancelled
-        a.cancelled = b.cancelled = True
-        self.heap_env._cancelled += 1
-        self.calendar_env._cancelled += 1
-        self.live -= 1
-        self.cancelled_pending += 1
+        event = self.events.pop(uid)
+        assert not event.cancelled
+        event.cancelled = True
+        self.env._cancelled += 1
+        self.model.remove(next(key for key in self.model if key[1] == uid))
 
     def check_pop(self) -> None:
-        a = self.heap.pop()
-        b = self.calendar.pop()
-        assert a.uid == b.uid
-        del self.pending[a.uid]
-        self.live -= 1
+        event = self.queue.pop()
+        assert event.uid == self._take_head()[1]
 
     def check_min_when(self) -> None:
-        assert self.heap.min_when() == self.calendar.min_when()
+        expected = self.model[0][0] if self.model else _INF
+        assert self.queue.min_when() == expected
 
     def check_next_due(self, now: float) -> None:
-        a = self.heap.next_due(now)
-        b = self.calendar.next_due(now)
-        if isinstance(a, float):
-            assert a == b
+        got = self.queue.next_due(now)
+        if self.model and self.model[0][0] <= now:
+            assert got.uid == self._take_head()[1]
         else:
-            assert a.uid == b.uid
-            del self.pending[a.uid]
-            self.live -= 1
+            assert got == (self.model[0][0] if self.model else _INF)
 
     def check_pop_until(self, bound: float) -> None:
-        a = self.heap.pop_until(bound)
-        b = self.calendar.pop_until(bound)
-        if isinstance(a, float):
-            assert a == b
+        got = self.queue.pop_until(bound)
+        if self.model and self.model[0][0] <= bound:
+            when, seq = self._take_head()
+            assert (got[0], got[1], got[2].uid) == (when, seq, seq)
         else:
-            assert (a[0], a[1]) == (b[0], b[1])
-            assert a[2].uid == b[2].uid
-            del self.pending[a[2].uid]
-            self.live -= 1
+            assert got == (self.model[0][0] if self.model else _INF)
 
     def compact(self) -> None:
-        # The *timing* of lazy tombstone drops legitimately differs
-        # between the structures, so only the invariant is asserted:
-        # after a sweep neither structure holds a single tombstone.
         # The kernel owns the counter decrement at the compaction site
         # (``self._cancelled -= self._future.compact()``); mirror that.
-        self.heap_env._cancelled -= self.heap.compact()
-        self.calendar_env._cancelled -= self.calendar.compact()
-        assert all(not e[2].cancelled for e in self.heap.entries())
-        assert all(not e[2].cancelled for e in self.calendar.entries())
+        self.env._cancelled -= self.queue.compact()
+        assert all(not entry[2].cancelled for entry in self.queue.entries())
+        assert sorted((when, seq) for when, seq, _event
+                      in self.queue.entries()) == self.model
 
     def drain(self) -> None:
-        """Pop everything live; both queues must agree step for step."""
+        """Pop everything live in model order, then surface the end."""
         while self.live:
             self.check_min_when()
             self.check_pop()
-        assert self.heap.min_when() == _INF
-        assert self.calendar.min_when() == _INF
-        # Surfacing the end drops every remaining tombstone in both
-        # structures; the accounting must have returned each counter
-        # exactly to zero (every cancel was matched by one drop).
-        assert self.heap_env._cancelled == 0
-        assert self.calendar_env._cancelled == 0
+            self.check_tombstones()
+        assert self.queue.min_when() == _INF
+        # Surfacing the end drops every remaining tombstone; the accounting
+        # must return the counter exactly to zero (every cancel matched by
+        # one drop).
+        assert self.env._cancelled == 0
+        assert len(self.queue) == 0
 
 
-#: Timestamp regimes the calendar queue's bucket mapping is sensitive to.
+#: Timestamp regimes: dense, sparse, same-instant ties, far future.
 _WHENS = st.one_of(
-    # Dense: sub-width gaps inside one or two buckets.
     st.floats(min_value=0.0, max_value=4.0, allow_nan=False,
               allow_infinity=False),
-    # Sparse: spread across hundreds of buckets (forces lap scanning
-    # and shrink-resizes while draining).
     st.floats(min_value=0.0, max_value=5_000.0, allow_nan=False,
               allow_infinity=False),
-    # Same-instant bursts: integral instants collide constantly,
-    # exercising the (when, seq) FIFO tie-break.
+    # Integral instants collide constantly, exercising the (when, seq)
+    # FIFO tie-break.
     st.integers(min_value=0, max_value=12).map(float),
-    # Far-future outliers: more than a full ring lap ahead of the front
-    # window at any width the queue will pick (year rollover path).
     st.floats(min_value=1e9, max_value=1e12, allow_nan=False,
               allow_infinity=False),
 )
@@ -204,141 +179,110 @@ class TestQueueEquivalenceProperties:
     @settings(max_examples=200, deadline=None)
     @given(ops=_OPS)
     def test_random_interleavings_agree(self, ops):
-        mirror = _Mirror()
+        checked = _Checked()
         for op, arg in ops:
             if op == "push":
-                mirror.push(arg)
+                checked.push(arg)
             elif op == "batch":
-                mirror.push_batch(arg)
+                checked.push_batch(arg)
             elif op == "pop":
-                if mirror.live:
-                    mirror.check_pop()
+                if checked.live:
+                    checked.check_pop()
             elif op == "next_due":
-                mirror.check_next_due(arg)
+                checked.check_next_due(arg)
             elif op == "pop_until":
-                mirror.check_pop_until(arg)
+                checked.check_pop_until(arg)
             elif op == "min_when":
-                mirror.check_min_when()
+                checked.check_min_when()
             elif op == "cancel":
-                candidates = [uid for uid, (a, _b) in mirror.pending.items()
-                              if not a.cancelled]
-                if candidates:
-                    mirror.cancel(candidates[arg % len(candidates)])
+                if checked.events:
+                    uids = sorted(checked.events)
+                    checked.cancel(uids[arg % len(uids)])
             elif op == "compact":
-                mirror.compact()
-        mirror.drain()
+                checked.compact()
+            checked.check_tombstones()
+        checked.drain()
 
     @settings(max_examples=50, deadline=None)
     @given(whens=st.lists(_WHENS, min_size=1, max_size=200),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_bulk_schedule_then_drain(self, whens, seed):
         """Pure schedule-everything-then-drain, the replay-injection shape."""
-        mirror = _Mirror()
+        checked = _Checked()
         rng = random.Random(seed)
         for when in whens:
             if rng.random() < 0.3:
-                mirror.push_batch([when, when + rng.random()])
+                checked.push_batch([when, when + rng.random()])
             else:
-                mirror.push(when)
-        for uid in rng.sample(sorted(mirror.pending),
-                              k=len(mirror.pending) // 4):
-            mirror.cancel(uid)
-        mirror.drain()
+                checked.push(when)
+        for uid in rng.sample(sorted(checked.events),
+                              k=len(checked.events) // 4):
+            checked.cancel(uid)
+        checked.drain()
 
 
 class TestQueueRegressions:
     def test_same_instant_burst_preserves_fifo(self):
-        mirror = _Mirror()
+        checked = _Checked()
         for _ in range(64):
-            mirror.push(7.0)
+            checked.push(7.0)
         order = []
-        while mirror.live:
-            a = mirror.heap.pop()
-            b = mirror.calendar.pop()
-            assert a.uid == b.uid
-            order.append(a.uid)
-            mirror.live -= 1
+        while checked.live:
+            order.append(checked.queue.pop().uid)
+            checked._take_head()
         assert order == sorted(order)
 
-    def test_year_rollover_outlier(self):
-        """A lone event beyond a full ring lap must still surface."""
-        queue = CalendarQueue()
-        env = _FakeEnv()
-        near = _FakeEvent(1, env)
-        far = _FakeEvent(2, env)
-        queue.push(0.5, 1, near)
-        queue.push(1e12, 2, far)
-        assert queue.pop() is near
-        assert queue.min_when() == 1e12
-        assert queue.pop() is far
-        assert queue.min_when() == _INF
-
-    def test_growth_resize_keeps_order(self):
-        mirror = _Mirror()
-        # Way past the 4-entries-per-bucket growth threshold.
-        for i in range(3000):
-            mirror.push((i * 37) % 977 + (i % 7) * 0.125)
-        mirror.drain()
-
     def test_cancel_everything_then_reuse(self):
-        mirror = _Mirror()
+        checked = _Checked()
         for i in range(32):
-            mirror.push(float(i))
-        for uid in list(mirror.pending):
-            mirror.cancel(uid)
-        assert mirror.heap.min_when() == _INF
-        assert mirror.calendar.min_when() == _INF
-        mirror.push(3.25)
-        mirror.drain()
+            checked.push(float(i))
+        for uid in list(checked.events):
+            checked.cancel(uid)
+        assert checked.queue.min_when() == _INF
+        assert checked.env._cancelled == 0
+        checked.push(3.25)
+        checked.drain()
 
     def test_pop_until_returns_entry_not_event(self):
-        queue = CalendarQueue()
+        queue = HeapQueue()
         event = _FakeEvent(1, _FakeEnv())
         queue.push(2.5, 9, event)
         entry = queue.pop_until(2.5)
         assert entry == (2.5, 9, event)
         assert queue.pop_until(100.0) == _INF
 
-    def test_registry_and_protocol(self):
-        assert DEFAULT_QUEUE == "calendar"
-        assert set(EVENT_QUEUES) == {"calendar", "heap"}
-        for name in EVENT_QUEUES:
-            queue = make_queue(name)
-            assert isinstance(queue, EventQueue)
-            assert queue.name == name
-        with pytest.raises(ValueError, match="unknown event queue"):
-            make_queue("splay")
-
 
 class TestKernelLevelEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_timeout_workload_matches(self, seed):
-        """One workload, two kernels: identical trace and event count."""
+        """Live timeouts fire once each, in (when, creation order)."""
+        rng = random.Random(seed)
+        env = Environment()
+        scheduled: list[tuple[float, int]] = []
+        fired: list[tuple[float, int]] = []
 
-        def run(queue_name: str) -> tuple[list, int, float]:
-            rng = random.Random(seed)
-            env = Environment(queue=queue_name)
-            log: list = []
+        def track(timeout, when: float) -> None:
+            key = (when, len(scheduled))
+            scheduled.append(key)
+            timeout.callbacks.append(
+                lambda _event: fired.append((env.now, key[1])))
 
-            def worker(tag: int):
-                for step in range(rng.randrange(1, 5)):
-                    delay = rng.choice([0.0, 0.125, 1.0, 3.5, 1e7])
-                    timeout = env.timeout(delay, value=(tag, step))
-                    if rng.random() < 0.2:
-                        shadow = env.timeout(delay + 1.0)
-                        shadow.cancel()
-                    log.append(("wait", tag, step, env.now))
-                    value = yield timeout
-                    log.append(("fired", value, env.now))
+        def worker():
+            for _step in range(rng.randrange(1, 5)):
+                delay = rng.choice([0.0, 0.125, 1.0, 3.5, 1e7])
+                timeout = env.timeout(delay)
+                track(timeout, env.now + delay)
+                if rng.random() < 0.2:
+                    env.timeout(delay + 1.0).cancel()
+                yield timeout
 
-            for tag in range(12):
-                env.process(worker(tag), name=f"w{tag}")
-            env.timeout_batch(sorted(rng.uniform(0.0, 50.0)
-                                     for _ in range(40)))
-            env.run()
-            return log, env.events_processed, env.now
-
-        calendar = run("calendar")
-        heap = run("heap")
-        assert calendar == heap
+        for tag in range(12):
+            env.process(worker(), name=f"w{tag}")
+        whens = sorted(rng.uniform(0.0, 50.0) for _ in range(40))
+        for timeout, when in zip(env.timeout_batch(whens), whens):
+            track(timeout, when)
+        env.run()
+        assert fired == sorted(scheduled)
+        assert env._cancelled == 0
+        assert env._queue == []

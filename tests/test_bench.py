@@ -14,6 +14,7 @@ from repro.bench import (
     BenchConfig,
     TILE_INVOCATIONS,
     _baseline_table,
+    _collect_cell,
     bench_trace,
     cluster_cell_configs,
     cluster_report,
@@ -124,6 +125,12 @@ class TestBenchReport:
         # so no speedup-vs-baseline table is emitted.
         assert report["baseline"] is None
 
+    def test_config_has_no_queue_and_old_field_is_ignored(self, report):
+        assert "queue" not in report["config"]
+        older = json.loads(json.dumps(report))
+        older["config"]["queue"] = "calendar"
+        validate_report(older)
+
     def test_write_report_round_trips(self, report, tmp_path):
         path = tmp_path / "BENCH_sim.json"
         write_report(report, str(path))
@@ -164,6 +171,20 @@ class TestSubprocessIsolation:
     def test_canonical_row_order(self, report):
         assert [r["scheduler"] for r in report["runs"]] \
             == ["Vanilla", "SFS", "Kraken", "FaaSBatch", OBS_RUN_LABEL]
+
+
+class TestCellPipes:
+    SPEC = {"scheduler": "Vanilla", "engine": "incremental"}
+
+    def test_stderr_flood_then_success(self, stderr_flood):
+        proc = stderr_flood(0)
+        assert _collect_cell(proc, self.SPEC) == {}
+        assert proc.returncode == 0
+
+    def test_stderr_flood_then_failure_keeps_tail(self, stderr_flood):
+        proc = stderr_flood(1)
+        with pytest.raises(RuntimeError, match=r"(?s)exit 1\).*last words"):
+            _collect_cell(proc, self.SPEC)
 
 
 class TestProfile:
