@@ -1,12 +1,13 @@
 """Perf-bench harness: the BENCH trajectory's measurement tool.
 
 Runs a large Azure-sampled scenario through every scheduler under both
-fair-share CPU engines — the incremental one (:mod:`repro.sim.fair_share`)
-and the frozen pre-refactor baseline (:mod:`repro.sim.legacy_cpu`) — and
-reports *simulator* performance: wall-clock seconds, kernel events/sec,
-invocations/sec and peak RSS.  Simulated results are byte-identical between
-the two engines (proven by ``tests/integration/test_engine_equivalence.py``),
-so any wall-clock difference is pure engine overhead.
+fair-share CPU engines — the lazy one (:mod:`repro.sim.fair_share`) and
+the eager reference for the same integer specification
+(:mod:`repro.sim.legacy_cpu`) — and reports *simulator* performance:
+wall-clock seconds, kernel events/sec, invocations/sec and peak RSS.
+Simulated results are byte-identical between the two engines (proven by
+``tests/integration/test_engine_equivalence.py``), so any wall-clock
+difference is pure engine overhead.
 
 The scenario tiles a bursty Azure-shaped replay minute end to end until the
 requested invocation count is reached, keeping peak concurrency at one
@@ -453,7 +454,7 @@ def run_bench(config: BenchConfig, skip_legacy: bool = False,
             f"{', '.join(profiled_labels)} learns its parameters from a "
             "Vanilla profiling cell; add vanilla to the selection")
     measure_obs = "FaaSBatch" in labels
-    # Only the classic fair-share trio exists in the frozen legacy engine.
+    # Only the classic fair-share trio gets an eager-reference cell.
     legacy_labels = [label for label in labels
                      if label in FAIR_SHARE_SCHEDULERS]
     engines = ["incremental"]
@@ -611,9 +612,8 @@ def _baseline_table(runs: List[Dict[str, object]],
                  "(pre-optimization) on the identical scenario; aggregate "
                  "= arithmetic mean of the per-cell events/sec speedups. "
                  "The headline covers the incremental-engine (default) "
-                 "cells — the legacy cells re-measure the frozen reference "
-                 "engine, where only the shared platform machinery can "
-                 "move, so they are reported separately in all_cells."),
+                 "cells — the legacy cells measure the eager reference "
+                 "engine, so they are reported separately in all_cells."),
         "per_cell": per_cell,
         "aggregate_events_per_sec": {
             "speedup": round(

@@ -362,6 +362,9 @@ class LocalPlatform:
                     retry.append(invocation)
                 else:
                     final.append(invocation)
+            # Counters first: a caller that reads the metrics as soon as
+            # its future resolves must already see its own request.
+            self._publish_group(group, final, cold_started)
             for invocation in final:
                 if invocation.error is not None:
                     self.retries_exhausted += 1
@@ -369,8 +372,8 @@ class LocalPlatform:
             responded_at = time.monotonic()
             with self._completed_lock:
                 self.completed.extend(final)
-            self._publish_group(group, final, container, cold_started,
-                                responded_at)
+            self._publish_timelines(final, container, cold_started,
+                                    responded_at)
             with self._inflight_lock:
                 # Retried invocations never decrement here, so reaching
                 # zero means nothing is queued, running, or backing off.
@@ -388,21 +391,15 @@ class LocalPlatform:
 
     def _publish_group(self, group: List[LocalInvocation],
                        final: List[LocalInvocation],
-                       container: LocalContainer,
-                       cold_started: bool,
-                       responded_at: float) -> None:
-        """Publish the group's spans and counters into ``self.obs``.
+                       cold_started: bool) -> None:
+        """Publish the group's counters and histograms into ``self.obs``.
 
-        Called once per executed group from its worker thread; the shared
-        tracer/registry are guarded by ``_obs_lock``.  Spans are emitted
-        only for *final* invocations (the attempt that resolved the
-        future), using the current attempt's timestamps — so one timeline
-        per invocation, never a duplicate-arrival error on retries.
+        Called once per executed group from its worker thread, before any
+        future of the group resolves; the shared registry is guarded by
+        ``_obs_lock``.
         """
         if self.obs is None:
             return
-        cold_ms = (self.config.cold_start_seconds * 1000.0
-                   if cold_started else 0.0)
         with self._obs_lock:
             metrics = self.obs.metrics
             metrics.counter("local.windows.executed").inc()
@@ -420,12 +417,25 @@ class LocalPlatform:
                         invocation.latency_seconds * 1000.0)
                 if invocation.attempts > 1:
                     metrics.counter("local.invocations.retried").inc()
-            tracer = self.obs.tracer
-            if not tracer.enabled:
-                return
+
+    def _publish_timelines(self, final: List[LocalInvocation],
+                           container: LocalContainer, cold_started: bool,
+                           responded_at: float) -> None:
+        """Publish the spans of the group's *final* invocations.
+
+        Spans are emitted only for the attempt that resolved the future,
+        using its timestamps — so one timeline per invocation, never a
+        duplicate-arrival error on retries.  They close at
+        *responded_at*, so they are published after the futures resolve.
+        """
+        if self.obs is None or not self.obs.tracer.enabled:
+            return
+        cold_ms = (self.config.cold_start_seconds * 1000.0
+                   if cold_started else 0.0)
+        with self._obs_lock:
             for invocation in final:
-                self._publish_timeline(tracer, invocation, container,
-                                       cold_ms, responded_at)
+                self._publish_timeline(self.obs.tracer, invocation,
+                                       container, cold_ms, responded_at)
 
     def _publish_timeline(self, tracer, invocation: LocalInvocation,
                           container: LocalContainer, cold_ms: float,

@@ -63,7 +63,7 @@ def run_experiment(scheduler: "Scheduler",
     supplies the platform's decision log (construct it with
     ``enabled=True`` to capture the run's typed event stream).
     ``cpu_engine`` selects the fair-share implementation ("incremental"
-    or the frozen pre-refactor "legacy"); both give identical results —
+    or the eager reference "legacy"); both give identical results —
     the knob exists for the perf bench and the equivalence tests.
     """
     if timeout_ms is None:

@@ -1,15 +1,14 @@
 """Deprecated module location — the CPU engines moved (kept as a shim).
 
 The fair-share CPU model now lives in :mod:`repro.sim.fair_share` (the
-incremental engine) on top of the shared substrate in
-:mod:`repro.sim.engine` (``CpuEngine`` protocol, ``CpuTask``/``CpuGroup``,
-``waterfill``); the pre-refactor engine is preserved in
-:mod:`repro.sim.legacy_cpu`.
+lazy engine) on top of the shared substrate in :mod:`repro.sim.engine`
+(``CpuEngine`` protocol, ``CpuTask``/``CpuGroup``, the integer
+specification and its ``waterfill``); the eager reference engine for the
+same specification is :mod:`repro.sim.legacy_cpu`.
 
 This module re-exports the public names so existing imports from
-``cluster/``, ``platformsim/`` and external examples keep working
-unchanged — ``FairShareCpu(env, cores)`` keeps its constructor signature
-and behavior (bit-identical schedules to the pre-refactor engine).
+``cluster/``, ``platformsim/`` and external examples keep working —
+``FairShareCpu(env, cores)`` keeps its constructor signature.
 """
 
 from repro.sim.engine import CpuEngine, CpuGroup, CpuTask, waterfill

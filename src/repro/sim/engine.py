@@ -6,66 +6,102 @@ units of work (:class:`CpuTask`) grouped into container cgroups
 three engines with one interface (:class:`CpuEngine`):
 
 * :class:`repro.sim.fair_share.FairShareCpu` — two-level max-min fair
-  processor sharing with incremental reallocation (the default).
+  processor sharing, settled lazily per group (the default).
 * :class:`repro.sim.sfs_cpu.SfsCpu` — the SFS user-space discipline
   (per-core adaptive time slices).
-* :class:`repro.sim.legacy_cpu.LegacyFairShareCpu` — the pre-refactor
-  fair-share engine, kept verbatim as the perf-bench baseline and the
-  reference implementation for equivalence tests.
+* :class:`repro.sim.legacy_cpu.LegacyFairShareCpu` — the eager reference
+  for the same fair-share specification: it settles every task on every
+  event.  It is the perf-bench baseline and the equivalence oracle.
 
 :class:`CpuEngineBase` holds the scaffolding every engine repeats —
-group bookkeeping, validation, utilization accounting — so concrete
-engines only implement their scheduling policy.
+group bookkeeping, validation, utilization accounting — and
+:class:`FairShareBase` what the two fair-share engines share.
+
+The integer fair-share specification
+------------------------------------
+Both fair-share engines implement one exact integer model.  Integer sums
+do not depend on the order they are taken in, so the lazy and the eager
+engine agree byte for byte, and no float rounding can stall the clock:
+
+* **Time** is counted in ticks of 2**-20 ms.  An instant ``now`` is tick
+  ``round(now * 2**20)``; tick ``k`` is the exact float ``k / 2**20``, so a
+  wake-up armed for a tick fires exactly on it.
+* **Capacity** is 2**16 units per core.  A task uses at most one core, so a
+  group of ``n`` tasks demands ``min(n * 2**16, cap)`` units, with its cap
+  rounded to units (at least one).
+* **Work** is counted in units x ticks: one core-ms is 2**36.
+* **Groups** share the machine by integer water-filling
+  (:func:`water_level`).  The level ``L`` is the largest integer with
+  ``sum(min(D, L)) <= capacity`` over the group demands ``D``.  A group
+  with ``D <= L`` is *granted* its demand; the others are *held* at ``L``.
+  The remainder, fewer units than there are held groups, stays idle.
+* **Tasks** of a group share its rate equally.  Each tick, a group of
+  ``n`` tasks at rate ``r`` serves every member ``(carry + r) // n`` and
+  keeps ``(carry + r) % n`` as its carry.  The carry restarts at zero
+  whenever the group's membership changes: each member forfeits the
+  fraction of one unit-tick it was owed.  A task finishes at the first
+  tick by which its group has served it all its work.
+* **Events.**  Every submit, abort, cap change and wake-up settles the
+  elapsed ticks, applies its change, completes the finished tasks in
+  submission order, re-runs the waterfill and arms one wake-up timer at
+  the earliest finish tick.  The timer is re-armed only when that tick
+  changes.
+* **Accounting.**  Busy work is the sum of the group rates over the
+  elapsed ticks.  The observers (:meth:`FairShareBase.busy_core_ms`,
+  ``current_rate``, ``utilization``) compute their answers from these
+  integers and never change engine state, so observing the CPU cannot
+  change the schedule.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, runtime_checkable
+from typing import (Dict, List, Mapping, Optional, Protocol, Sequence, Sized,
+                    Tuple, runtime_checkable)
 
 from repro.common.errors import SimulationError
-from repro.common.units import TIME_EPSILON
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import Environment, Event, Timeout
+
+#: Clock ticks per simulated millisecond.
+TICKS_PER_MS = 1 << 20
+#: Capacity units per core.
+UNITS_PER_CORE = 1 << 16
+#: Work units (unit x tick) per core-millisecond.
+WORK_PER_CORE_MS = TICKS_PER_MS * UNITS_PER_CORE
+
+
+def to_units(cores: float) -> int:
+    """A capacity of *cores* in units (at least one)."""
+    return max(1, round(cores * UNITS_PER_CORE))
 
 
 class CpuTask:
     """One unit of computation being serviced by the CPU."""
 
-    __slots__ = ("work_total", "remaining", "max_share", "group", "done",
-                 "rate", "started_at", "finished_at", "label", "seq")
+    __slots__ = ("work_total", "remaining", "group", "done", "started_at",
+                 "label", "seq")
 
-    def __init__(self, work: float, max_share: float, group: "CpuGroup",
-                 done: Event, started_at: float, label: str) -> None:
+    def __init__(self, work: float, group: "CpuGroup", done: Event,
+                 started_at: float, label: str, seq: int) -> None:
         self.work_total = work
-        self.remaining = work
-        self.max_share = max_share
+        #: Work still to serve, in units x ticks.  The eager engine counts
+        #: it down; the lazy engine reads it once to set the finish tag.
+        self.remaining = max(1, round(work * WORK_PER_CORE_MS))
         self.group = group
         self.done = done
-        self.rate = 0.0
         self.started_at = started_at
-        self.finished_at: Optional[float] = None
         self.label = label
-        #: Global submission rank, set by engines that complete tasks via
-        #: per-group scans: sorting candidates by ``seq`` reproduces the
-        #: all-tasks (submission-ordered) completion order exactly.
-        self.seq = 0
+        #: Global submission rank: same-instant completions fire in it.
+        self.seq = seq
 
     def __repr__(self) -> str:
-        return (f"<CpuTask {self.label} remaining={self.remaining:.3f} "
-                f"rate={self.rate:.3f}>")
+        return (f"<CpuTask {self.label or self.seq} "
+                f"work={self.work_total:.3f}>")
 
 
 class CpuGroup:
-    """A set of tasks sharing a cap (a container, or the uncapped host).
+    """A set of tasks sharing a cap (a container, or the uncapped host)."""
 
-    The trailing underscore-prefixed slots are caches owned by the
-    incremental fair-share engine (invalidated on any membership, cap or
-    rate change); other engines simply never read them.
-    """
-
-    __slots__ = ("name", "cap", "tasks", "_seq",
-                 "_demand_cache", "_alloc_cache", "_sorted_cache",
-                 "_shares_cache", "_shares_sum", "_uniform_share",
-                 "_ttf_cache", "_min_rate_cache", "_ttf_epoch", "_ushare")
+    __slots__ = ("name", "cap", "tasks")
 
     def __init__(self, name: str, cap: Optional[float]) -> None:
         if cap is not None and cap <= 0:
@@ -73,87 +109,56 @@ class CpuGroup:
         self.name = name
         self.cap = cap  # None = unbounded (host group)
         # Insertion-ordered on purpose: CpuTask hashes by identity, so a
-        # set's iteration order would vary run-to-run and leak into float
-        # accumulation and same-instant completion order (nondeterminism).
+        # set's iteration order would vary run to run (nondeterminism).
         self.tasks: Dict[CpuTask, None] = {}
-        #: Creation rank within the owning engine; lets the incremental
-        #: engine visit its *runnable* groups in creation order (the order
-        #: the group-level waterfill is float-sensitive to) without
-        #: scanning every group ever created.
-        self._seq = 0
-        self._demand_cache: Optional[float] = None
-        self._alloc_cache: Optional[float] = None
-        self._sorted_cache: Optional[List[CpuTask]] = None
-        self._shares_cache: Optional[List[float]] = None
-        self._shares_sum = 0.0
-        self._uniform_share: Optional[float] = None
-        self._ttf_cache: Optional[float] = None
-        self._min_rate_cache: float = 0.0
-        self._ttf_epoch = -1
-        #: The common ``max_share`` of every current member, or ``None``
-        #: once a differing share joins (poisoned until the group empties).
-        #: Maintained by the incremental fair-share engine's mutation sites;
-        #: lets reallocation skip the label sort outright, since uniform
-        #: shares make the waterfill output uniform and therefore
-        #: assignment-order independent.
-        self._ushare: Optional[float] = None
-
-    @property
-    def demand(self) -> float:
-        """Aggregate core demand of this group's runnable tasks."""
-        total = sum(task.max_share for task in self.tasks)
-        if self.cap is not None:
-            total = min(total, self.cap)
-        return total
 
     def __repr__(self) -> str:
         return f"<CpuGroup {self.name} cap={self.cap} tasks={len(self.tasks)}>"
 
 
-def waterfill(capacity: float, demands: List[float]) -> List[float]:
-    """Max-min fair allocation of *capacity* across entities with caps.
+def water_level(capacity: int, demands: Sequence[int],
+                members: Mapping[int, Sized],
+                total: int) -> Tuple[Optional[int], int, int]:
+    """Integer max-min water level over distinct demand values.
 
-    Each entity i receives at most ``demands[i]``; leftover capacity is
-    shared equally among unsatisfied entities (classic progressive filling).
-    Returns the per-entity allocation; sums to min(capacity, sum(demands)).
+    *demands* lists the distinct demands in ascending order, ``members[d]``
+    the groups demanding ``d`` and *total* their overall number.  Returns
+    ``(level, granted, held)``: ``level`` is the largest integer ``L`` with
+    ``sum(min(d, L))`` over all groups at most *capacity*, or ``None`` when
+    every demand fits; ``granted`` is the sum of the demands ``d <= L``
+    (served in full) and ``held`` the number of groups held at ``L``.
+    Costs one step per distinct demand value.
     """
-    n = len(demands)
-    allocation = [0.0] * n
-    if n == 0 or capacity <= 0:
-        return allocation
-    if capacity > TIME_EPSILON and sum(demands) <= capacity:
-        # Under-subscribed: every entity is granted exactly its demand (the
-        # general loop bounds each entity with a grant of ``demands[i]``),
-        # so the result is the demand vector itself.
-        return list(demands)
-    first = demands[0]
-    if first > 0.0 and all(d == first for d in demands):
-        # Uniform demands (the common case: n tasks of max_share 1.0)
-        # resolve in one round; the results are float-identical to the
-        # general loop below (same grant/equal-split expressions).
-        if capacity <= TIME_EPSILON:
-            return allocation
-        share = capacity / n
-        if first <= share:
-            return [first] * n
-        return [share] * n
-    remaining = capacity
-    active = [i for i in range(n) if demands[i] > 0]
-    while active and remaining > TIME_EPSILON:
-        share = remaining / len(active)
-        bounded = [i for i in active if demands[i] - allocation[i] <= share]
-        if bounded:
-            bounded_set = set(bounded)
-            for i in bounded:
-                grant = demands[i] - allocation[i]
-                allocation[i] = demands[i]
-                remaining -= grant
-            active = [i for i in active if i not in bounded_set]
-        else:
-            for i in active:
-                allocation[i] += share
-            remaining = 0.0
-    return allocation
+    granted = 0
+    left = total
+    for demand in demands:
+        if granted + demand * left > capacity:
+            return (capacity - granted) // left, granted, left
+        count = len(members[demand])
+        granted += demand * count
+        left -= count
+    return None, granted, 0
+
+
+def waterfill(capacity: int, demands: Sequence[int]) -> List[int]:
+    """Integer max-min fair allocation of *capacity* across *demands*.
+
+    Each entity receives ``min(demand, L)`` for the water level ``L`` of
+    :func:`water_level`; non-positive demands receive nothing.  The
+    allocation never exceeds *capacity*, and falls short of
+    ``min(capacity, sum(demands))`` by less than the number of entities
+    held at the level.
+    """
+    members: Dict[int, List[int]] = {}
+    for index, demand in enumerate(demands):
+        if demand > 0:
+            members.setdefault(demand, []).append(index)
+    level, _granted, _held = water_level(
+        capacity, sorted(members), members,
+        sum(len(group) for group in members.values()))
+    return [0 if demand <= 0 else
+            demand if level is None or demand <= level else level
+            for demand in demands]
 
 
 @runtime_checkable
@@ -181,7 +186,7 @@ class CpuEngine(Protocol):
     def abort_group_tasks(self, name: str) -> int: ...
 
     def submit(self, work: float, group: str = ...,
-               max_share: float = ..., label: str = ...) -> Event: ...
+               label: str = ...) -> Event: ...
 
     @property
     def active_tasks(self) -> int: ...
@@ -210,7 +215,6 @@ class CpuEngineBase:
         self.cores = cores
         self._groups: Dict[str, CpuGroup] = {
             self.HOST_GROUP: CpuGroup(self.HOST_GROUP, cap=None)}
-        self._group_sequence = 0  # the host group holds rank 0
         self._task_sequence = 0
         self._busy_core_ms = 0.0
 
@@ -226,10 +230,7 @@ class CpuEngineBase:
             raise SimulationError(f"CPU group {name!r} already exists")
         if cap is not None:
             cap = self._clamp_cap(cap)
-        group = CpuGroup(name, cap)
-        self._group_sequence += 1
-        group._seq = self._group_sequence
-        self._groups[name] = group
+        group = self._groups[name] = CpuGroup(name, cap)
         return group
 
     def remove_group(self, name: str) -> None:
@@ -277,3 +278,99 @@ class CpuEngineBase:
     def runnable_group_count(self) -> int:
         """Groups with at least one runnable task (a telemetry probe)."""
         return sum(1 for group in self._groups.values() if group.tasks)
+
+
+class FairShareBase(CpuEngineBase):
+    """Units, observers and the wake-up timer of the fair-share engines.
+
+    Subclasses implement the specification in the module docstring:
+    ``_add`` (a submitted task), ``_recap`` (a group's cap changed),
+    ``abort_group_tasks`` and ``_wake`` (the timer fired).  They keep
+    ``_tick`` (the last settled tick), ``_busy`` (units x ticks served up
+    to it) and ``_rate`` (units per tick being served) current.
+    """
+
+    def __init__(self, env: Environment, cores: float) -> None:
+        if cores <= 0:
+            raise ValueError(f"cores must be > 0, got {cores}")
+        super().__init__(env, float(cores))
+        self._capacity = to_units(self.cores)
+        self._tick = round(env.now * TICKS_PER_MS)
+        self._busy = 0
+        self._rate = 0
+        self._wake_tick: Optional[int] = None
+        self._wake_timer: Optional[Timeout] = None
+
+    def _clamp_cap(self, cap: float) -> float:
+        return min(cap, self.cores)
+
+    def _cap_units(self, group: CpuGroup) -> Optional[int]:
+        return None if group.cap is None else to_units(group.cap)
+
+    def set_group_cap(self, name: str, cap: Optional[float]) -> None:
+        """Re-cap *name* at runtime (the straggler-slowdown fault hook).
+
+        Work done before the change is charged at the old rates.
+        """
+        if cap is not None:
+            if cap <= 0:
+                raise ValueError(f"group cap must be > 0, got {cap}")
+            cap = min(cap, self.cores)
+        group = self.group(name)
+        group.cap = cap
+        self._recap(group)
+
+    def submit(self, work: float, group: str = CpuEngineBase.HOST_GROUP,
+               label: str = "") -> Event:
+        """Execute *work* core-ms in *group*; the event fires on completion.
+
+        A task uses at most one core.  Zero work completes after a
+        zero-delay event.
+        """
+        self._validate_work(work)
+        if work == 0.0:
+            return self._completed_event()
+        group_obj = self.group(group)
+        self._task_sequence += 1
+        task = CpuTask(work, group_obj, self.env.event(), self.env.now,
+                       label, self._task_sequence)
+        self._add(task)
+        return task.done
+
+    # -- observers (pure) ------------------------------------------------------------
+
+    def busy_core_ms(self) -> float:
+        """Total core-milliseconds of work served so far."""
+        elapsed = round(self.env.now * TICKS_PER_MS) - self._tick
+        return (self._busy + self._rate * elapsed) / WORK_PER_CORE_MS
+
+    def current_rate(self) -> float:
+        """Aggregate core usage right now (cores being consumed)."""
+        return self._rate / UNITS_PER_CORE
+
+    # -- internals ----------------------------------------------------------------
+
+    @staticmethod
+    def _finish(finished: List[CpuTask], now: float) -> None:
+        """Fire the done events of *finished* (already in seq order)."""
+        for task in finished:
+            task.done.succeed(now - task.started_at)
+
+    def _arm(self, tick: Optional[int]) -> None:
+        """Make the wake-up timer fire at *tick* (``None``: idle)."""
+        if tick == self._wake_tick:
+            return
+        if self._wake_timer is not None:
+            self._wake_timer.cancel()
+        self._wake_tick = tick
+        if tick is None:
+            self._wake_timer = None
+            return
+        timer = self.env.timeout_at(tick / TICKS_PER_MS)
+        self._wake_timer = timer
+        timer._callbacks = self._on_wakeup  # the timer's only waiter
+
+    def _on_wakeup(self, _event: Event) -> None:
+        self._wake_timer = None
+        self._wake_tick = None
+        self._wake()

@@ -1,17 +1,16 @@
-"""Incremental two-level max-min fair (water-filling) CPU engine.
+"""Two-level max-min fair (water-filling) CPU engine, settled lazily.
 
 This is the substrate that makes the paper's latency effects emerge:
 
 * The worker VM has ``cores`` physical cores.
-* Every running computation is a :class:`CpuTask` with a remaining amount of
-  *work* in core-milliseconds and a per-task cap (``max_share``, normally 1.0
-  because one thread can use at most one core).
+* Every running computation is a :class:`CpuTask` with an amount of *work*
+  in core-milliseconds; one task (one thread) uses at most one core.
 * Tasks belong to a :class:`CpuGroup` (a container, or the host group for
   platform work).  A group can be capped (``cpuset_cpus`` / ``cpu_count`` in
   the paper's prototype).
 * Capacity is divided by **two-level water-filling**: max-min fairness across
-  groups (each group's demand is the sum of its tasks' caps, bounded by the
-  group cap), then max-min fairness across the tasks inside each group.
+  groups (each group demands one core per task, bounded by its cap), then an
+  equal split across the tasks inside each group.
 
 This approximates Linux CFS with cgroup cpusets closely enough to reproduce
 the paper's observations: e.g. when Vanilla launches hundreds of containers,
@@ -20,82 +19,75 @@ and *everything* slows down proportionally; whereas FaaSBatch's single
 container receives the same aggregate core share as hundreds of Monopoly
 containers would for the same work (Fig. 1's "Sharing ≈ Monopoly").
 
-The model is work-conserving: as long as total demand >= capacity, exactly
-``cores`` core-ms of work complete per millisecond.
+The exact integer specification (ticks, units, the water level, per-group
+carries) is in :mod:`repro.sim.engine`; the eager reference
+:class:`repro.sim.legacy_cpu.LegacyFairShareCpu` implements it directly and
+this engine must match it byte for byte.
 
-Incremental reallocation
-------------------------
-The pre-refactor engine (kept verbatim in :mod:`repro.sim.legacy_cpu`)
-re-sorted and re-waterfilled *every* group's tasks on *every* submit and
-wake-up — O(total tasks) per event.  This engine produces bit-identical
-schedules with three structural savings:
+Lazy settlement
+---------------
+The eager engine touches every task on every event.  This one touches only
+the groups an event changes, so an event costs O(log n) plus one step per
+distinct demand value:
 
-1. **Dirty-group tracking.**  Group-level water-filling is cheap (one float
-   per group) and always recomputed, but the task-level sort + waterfill
-   inside a group is skipped whenever the group's membership is unchanged
-   *and* its group-level allocation came out exactly equal — ``waterfill``
-   is a deterministic pure function, so the cached task rates are the very
-   floats a recompute would produce.
-2. **Coalesced reallocation.**  The K same-timestamp submits produced by a
-   batch expansion each mark their group dirty and schedule a single
-   *urgent flush* event at the current instant (``Environment.defer``).
-   The kernel guarantees the flush runs before the clock advances and
-   before any normal-priority event at that instant, so one reallocation
-   pass replaces K — and nothing can observe the not-yet-filled rates
-   (synchronous readers go through :meth:`_flush_if_pending`).
-3. **Lazy wake-up timers.**  Re-arming cancels the superseded timer
-   (:meth:`repro.sim.kernel.Timeout.cancel`) instead of leaving it to fire
-   as a stale no-op, keeping the event heap proportional to live work.
-4. **Runnable-group index.**  Keep-alive containers accumulate thousands
-   of empty groups over a run; reallocation and wake-up arming visit only
-   the non-empty ones (tracked incrementally, iterated in creation order
-   because the group-level waterfill's float results are order-sensitive).
-5. **Persistent demand vector.**  The group-level demand vector is kept
-   alive across recomputes — rebuilt only when the runnable-group set
-   changes, patched in place for dirty groups otherwise — and a recompute
-   with no dirty groups returns immediately (the vector is unchanged and
-   waterfill is pure, so every group would hit its alloc-cache skip).
-
-The finished-task scan is also elided when provably empty, two ways:
-
-* ``_needs_scan``: rates only ever *decrease* between scans on the submit
-  path (adding demand never raises a pre-existing task's rate), so a task
-  that survived the last scan cannot have crossed the completion threshold
-  until work is actually settled (``dt > 0``) or a
-  completion/cap-change/abort frees capacity.
-* Armed horizon: every rate change immediately re-arms the wake-up timer,
-  so rates are constant between armings and each task's time-to-finish
-  shrinks exactly with elapsed time.  The arming snapshots the minimum
-  time-to-finish; until elapsed time approaches it (minus a slack that
-  dominates the predicate thresholds and float drift) the scan cannot find
-  anything.  The wake-up itself fires exactly at that horizon, so real
-  completions always get a full scan.
+* **Group clocks.**  All tasks of a group share one rate, so a group keeps
+  one virtual clock ``v`` (work served to each member) and a task its
+  *finish tag* ``v_at_submit + work``.  The clock is settled lazily from a
+  reference point ``x`` by floor division with carry; since
+  ``(c + a) // n + (c' + b) // n == (c + a + b) // n`` when ``c'`` is the
+  carry ``(c + a) % n``, one settlement equals per-tick settlement exactly.
+* **Two regimes.**  A *granted* group is served its demand ``D``, so its
+  clock runs on the tick clock (``D`` units per tick).  A *held* group is
+  served the water level ``L``, so its clock runs on one global level
+  clock ``lam`` that advances by ``L`` per tick: a change of ``L`` touches
+  no held group.  After a waterfill only the groups whose demand lies
+  between the old and the new level change regime.
+* **Wake-up.**  Each group's earliest finish tag goes into one of two
+  heaps, keyed by tick (granted) or by ``lam`` (held).  Entries carry a
+  version stamp and are dropped lazily once superseded.  One timer is armed
+  at the earlier top.
+* **State.**  A group has lazy state only while it has runnable tasks; the
+  state is freed when the group empties, so removed groups hold none.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
-from typing import Callable, Dict, List, Optional, Set
+from bisect import bisect_right, insort
+from heapq import heappop, heappush
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
-from repro.common.units import TIME_EPSILON
-from repro.sim.engine import CpuEngineBase, CpuGroup, CpuTask, waterfill
-from repro.sim.kernel import Environment, Event, Timeout
+from repro.sim.engine import (TICKS_PER_MS, UNITS_PER_CORE, CpuGroup,
+                              CpuTask, FairShareBase, water_level)
+from repro.sim.kernel import Environment
 
 
-def _by_label(task: CpuTask) -> str:
-    return task.label
+class _Share:
+    """The lazy state of one runnable group."""
+
+    __slots__ = ("group", "tags", "n", "cap", "demand", "granted", "v",
+                 "carry", "x", "stamp")
+
+    def __init__(self, group: CpuGroup, cap: Optional[int]) -> None:
+        self.group = group
+        #: Heap of ``(finish tag, seq, task)`` of the group's tasks.
+        self.tags: List[Tuple[int, int, CpuTask]] = []
+        self.n = 0
+        self.cap = cap
+        self.demand = 0
+        self.granted = True
+        #: Virtual clock (work served to each member) and carry, as of the
+        #: reference point ``x`` on the tick clock (granted) or on ``lam``
+        #: (held).
+        self.v = 0
+        self.carry = 0
+        self.x = 0
+        #: Stamp of the live heap entry; 0 once the state is freed.
+        self.stamp = 0
 
 
-#: Sentinel stored in ``_sorted_cache`` by the uniform-share fast path: a
-#: non-None marker meaning "shares-sum cache valid, no sorted order needed".
-#: Groups only leave the uniform path through a mutation that re-Nones the
-#: cache, so the marker is never read as a real task list.
-_UNIFORM: List[CpuTask] = []
-
-
-class FairShareCpu(CpuEngineBase):
+class FairShareCpu(FairShareBase):
     """The two-level processor-sharing CPU of one worker machine.
 
     Public operations:
@@ -106,615 +98,232 @@ class FairShareCpu(CpuEngineBase):
     * :attr:`utilization` / :meth:`busy_core_ms` — accounting for the paper's
       CPU-cost figures (13c / 14c).
 
-    Scheduling decisions are bit-identical to the pre-refactor engine
+    Schedules are byte-identical to the eager reference
     (:class:`repro.sim.legacy_cpu.LegacyFairShareCpu`); see the module
-    docstring for how reallocation work is elided without changing them.
+    docstring for how settlement is deferred without changing them.
     """
 
     def __init__(self, env: Environment, cores: float) -> None:
-        if cores <= 0:
-            raise ValueError(f"cores must be > 0, got {cores}")
-        super().__init__(env, float(cores))
-        self._tasks: Dict[CpuTask, None] = {}
-        self._last_update = env.now
-        self._wake_version = 0
-        self._wake_timer: Optional[Timeout] = None
-        #: Groups whose membership/cap changed since the last rate recompute.
-        self._dirty: Set[CpuGroup] = set()
-        #: Runnable (non-empty) groups in creation order — the only groups
-        #: reallocation and wake-up arming ever need to visit.  Keep-alive
-        #: containers leave thousands of *empty* groups in ``_groups``;
-        #: scanning them per event is the legacy engine's other O(all
-        #: groups) cost.
-        self._active: List[CpuGroup] = []
-        self._active_set: Set[CpuGroup] = set()
-        #: Creation ranks parallel to ``_active``; lets membership updates
-        #: and dirty-demand patching locate a group's slot by bisection
-        #: instead of an O(groups) identity scan.
-        self._active_seqs: List[int] = []
-        #: Demand vector parallel to ``_active``, reused across recomputes;
-        #: rebuilt only when the runnable-group membership changes, patched
-        #: in place for dirty groups otherwise (no per-event list churn).
-        self._demands: List[float] = []
-        self._membership_changed = False
-        #: Copy of the last group-level allocation vector over an unchanged
-        #: ``_active``; when a recompute reproduces it exactly (C-level list
-        #: compare), every non-dirty group would hit its alloc-cache skip,
-        #: so only the dirty groups are visited.  ``None`` after any
-        #: membership change (slots shifted, the compare would be
-        #: meaningless).
-        self._prev_alloc: Optional[List[float]] = None
-        #: True while a coalescing flush event is scheduled at `now`.
-        self._flush_scheduled = False
-        #: Invalidates in-flight flush events superseded by a full realloc.
-        self._flush_token = 0
-        #: True when the next submit must run the finished-task scan (work
-        #: was settled, or rates may have risen since the last scan).
-        self._needs_scan = True
-        #: Bumped on every dt>0 settle; versions the per-group ttf caches.
-        self._settle_epoch = 0
-        #: Snapshot of (time, min time-to-finish, min positive rate) taken
-        #: every time the wake-up is armed; lets the finished-task scan be
-        #: elided while provably empty (see _complete_finished).
-        self._armed_at = env.now
-        self._armed_ttf = -math.inf
-        self._armed_min_rate = math.inf
+        super().__init__(env, cores)
+        self._shares: Dict[CpuGroup, _Share] = {}
+        #: Distinct demands (ascending) and the shares demanding each.
+        self._demands: List[int] = []
+        self._by_demand: Dict[int, Dict[_Share, None]] = {}
+        #: Water level (None: every demand granted) and the level clock.
+        self._level: Optional[int] = None
+        self._lam = 0
+        self._tick_heap: List[Tuple[int, int, _Share]] = []
+        self._lam_heap: List[Tuple[int, int, _Share]] = []
+        self._stamp = 0
+        self._active = 0
 
-    # -- groups ----------------------------------------------------------------
-
-    def _clamp_cap(self, cap: float) -> float:
-        return min(cap, self.cores)
-
-    def set_group_cap(self, name: str, cap: Optional[float]) -> None:
-        """Re-cap *name* at runtime (the straggler-slowdown fault hook).
-
-        Settles elapsed work at the old rates first, then reallocates, so a
-        mid-flight cap change charges exactly the work done before it.
-        """
-        if cap is not None:
-            if cap <= 0:
-                raise ValueError(f"group cap must be > 0, got {cap}")
-            cap = min(cap, self.cores)
-        group = self.group(name)
-        self._settle_elapsed()
-        group.cap = cap
-        self._invalidate_group(group)
-        # Raising a cap can raise rates, so the next scan cannot be elided.
-        self._reallocate_and_arm(raises_rates=True)
+    @property
+    def active_tasks(self) -> int:
+        return self._active
 
     def abort_group_tasks(self, name: str) -> int:
         """Drop every runnable task of *name* without firing its done event.
 
         Used by container-crash teardown: the processes waiting on those
-        events were interrupted (and detached from them), so the events must
-        *not* fire — the work simply vanishes.  Returns the number dropped.
+        events were interrupted, so the events must *not* fire — the work
+        simply vanishes.  Returns the number dropped.
         """
         group = self.group(name)
         if not group.tasks:
             return 0
-        self._settle_elapsed()
-        dropped = 0
-        for task in list(group.tasks):
-            self._tasks.pop(task, None)
-            group.tasks.pop(task, None)
-            task.rate = 0.0
-            dropped += 1
-        self._invalidate_group(group)
-        # Freed capacity can raise surviving rates: keep the scan armed.
-        self._reallocate_and_arm(raises_rates=True)
+        tick = self._advance()
+        share = self._shares[group]
+        dropped = len(group.tasks)
+        group.tasks.clear()
+        self._active -= dropped
+        share.tags.clear()
+        share.n = 0
+        share.stamp = 0
+        self._commit(tick, {share: None})
         return dropped
 
-    # -- work submission ---------------------------------------------------------
+    # -- events ------------------------------------------------------------------
 
-    def submit(self, work: float, group: str = CpuEngineBase.HOST_GROUP,
-               max_share: float = 1.0, label: str = "") -> Event:
-        """Execute *work* core-ms in *group*; the event fires on completion.
-
-        ``max_share`` caps how many cores this task can use at once (1.0 for
-        a single thread).  Zero work completes after a zero-delay event.
-        """
-        self._validate_work(work)
-        if max_share <= 0:
-            raise ValueError(f"max_share must be > 0, got {max_share}")
-        if work == 0.0:
-            return self._completed_event()
-        self._settle_elapsed()
-        self._task_sequence += 1
-        task = CpuTask(work=work, max_share=max_share,
-                       group=self.group(group), done=self.env.event(),
-                       started_at=self.env.now,
-                       label=label or f"task-{self._task_sequence}")
-        task.seq = self._task_sequence
-        group_obj = task.group
-        gtasks = group_obj.tasks
-        gtasks[task] = None
-        if len(gtasks) == 1:
-            group_obj._ushare = max_share
-        elif max_share != group_obj._ushare:
-            group_obj._ushare = None
-        self._tasks[task] = None
-        self._invalidate_group(group_obj)
-        if self._needs_scan or work <= TIME_EPSILON:
-            # The scan may complete tasks (or this sub-epsilon one): run the
-            # full reallocation eagerly, exactly like the legacy engine.
-            # A sub-epsilon task postdates the armed horizon, so the scan
-            # that must complete it cannot be elided.
-            self._reallocate_and_arm(force_scan=work <= TIME_EPSILON)
+    def _add(self, task: CpuTask) -> None:
+        tick = self._advance()
+        group = task.group
+        share = self._shares.get(group)
+        if share is None:
+            share = self._shares[group] = _Share(group,
+                                                 self._cap_units(group))
         else:
-            # Fast path: the scan is provably empty and rates only fall, so
-            # defer one coalesced recompute to the end of this instant.
-            self._schedule_flush()
-        return task.done
+            self._settle(share, tick)
+        share.carry = 0
+        share.n += 1
+        heappush(share.tags, (share.v + task.remaining, task.seq, task))
+        group.tasks[task] = None
+        self._active += 1
+        self._commit(tick, {share: None})
 
-    # -- accounting ----------------------------------------------------------------
+    def _recap(self, group: CpuGroup) -> None:
+        tick = self._advance()
+        share = self._shares.get(group)
+        if share is None:
+            self._commit(tick, {})
+            return
+        self._settle(share, tick)
+        share.cap = self._cap_units(group)
+        self._commit(tick, {share: None})
 
-    @property
-    def active_tasks(self) -> int:
-        return len(self._tasks)
-
-    def busy_core_ms(self) -> float:
-        """Total core-milliseconds of work completed so far."""
-        self._settle_elapsed()
-        return self._busy_core_ms
-
-    def current_rate(self) -> float:
-        """Aggregate core usage right now (cores being consumed)."""
-        self._flush_if_pending()
-        return sum(task.rate for task in self._tasks)
-
-    def utilization(self) -> float:
-        """Instantaneous utilization in [0, 1]."""
-        return self.current_rate() / self.cores
+    def _wake(self) -> None:
+        self._commit(self._advance(), {})
 
     # -- internals ----------------------------------------------------------------
 
-    def _settle_elapsed(self) -> None:
-        """Deduct work done since the last update at the current rates."""
-        now = self.env.now
-        dt = now - self._last_update
-        if dt <= 0:
-            self._last_update = now
-            return
-        busy = self._busy_core_ms
-        for task in self._tasks:
-            rate = task.rate
-            if rate != 0.0:
-                # Skipping the zero-rate write is exact: step would be 0.0
-                # and ``x - 0.0 == x`` for every float (rates are >= 0).
-                step = rate * dt
-                task.remaining -= step
-                busy += step
-        self._busy_core_ms = busy
-        self._last_update = now
-        # Remaining-work changed: finished-task scans and cached per-group
-        # time-to-finish minima are stale from here on.
-        self._needs_scan = True
-        self._settle_epoch += 1
+    def _advance(self) -> int:
+        """Move the global accounts to the current tick; return it."""
+        tick = round(self.env.now * TICKS_PER_MS)
+        elapsed = tick - self._tick
+        if elapsed > 0:
+            self._busy += self._rate * elapsed
+            if self._level is not None:
+                self._lam += self._level * elapsed
+            self._tick = tick
+        return tick
 
-    def _invalidate_group(self, group: CpuGroup) -> None:
-        group._demand_cache = None
-        group._sorted_cache = None
-        group._ttf_cache = None
-        self._dirty.add(group)
-        # Called on every membership change, so it also maintains the
-        # runnable-group index (sorted by creation rank to preserve the
-        # legacy engine's float-sensitive waterfill order).
-        if group.tasks:
-            if group not in self._active_set:
-                self._active_set.add(group)
-                seqs = self._active_seqs
-                pos = bisect.bisect_left(seqs, group._seq)
-                seqs.insert(pos, group._seq)
-                self._active.insert(pos, group)
-                # Open the matching demand slot in place (filled by the
-                # dirty patch — this group is always dirty here), so the
-                # recompute never rebuilds the whole vector.
-                self._demands.insert(pos, 0.0)
-                self._membership_changed = True
-        elif group in self._active_set:
-            self._active_set.discard(group)
-            seqs = self._active_seqs
-            pos = bisect.bisect_left(seqs, group._seq)
-            del seqs[pos]
-            del self._active[pos]
-            del self._demands[pos]
-            self._membership_changed = True
+    def _settle(self, share: _Share, tick: int) -> None:
+        """Fold the work served since ``share.x`` into its clock."""
+        if share.granted:
+            served = share.demand * (tick - share.x)
+            share.x = tick
+        else:
+            served = self._lam - share.x
+            share.x = self._lam
+        if served:
+            step, share.carry = divmod(share.carry + served, share.n)
+            share.v += step
 
-    @staticmethod
-    def _group_demand(group: CpuGroup) -> float:
-        """``group.demand`` with the O(tasks) sum elided for uniform shares.
+    def _commit(self, tick: int, touched: Dict[_Share, None]) -> None:
+        """Complete, re-waterfill, re-key *touched* shares and re-arm.
 
-        A sequential sum of *n* equal floats is reproduced exactly by
-        ``sum([u] * n)`` (same left-to-right chain), and for the common
-        ``max_share == 1.0`` case every partial sum is an exact small
-        integer, so ``float(n)`` is the identical result.
+        Every share in *touched* is settled to *tick* already.
         """
-        u = group._ushare
-        if u is None:
-            return group.demand
-        n = len(group.tasks)
-        total = float(n) if u == 1.0 else sum([u] * n)
-        cap = group.cap
-        if cap is not None and cap < total:
-            total = cap
-        return total
-
-    def _time_resolution(self) -> float:
-        """Smallest representable clock advance at the current sim time.
-
-        At large clock values (hours of simulated milliseconds) a wake-up
-        delay below one ulp of ``now`` would not advance time at all and
-        the kernel would spin forever; any task whose time-to-finish is
-        below this resolution is complete for all observable purposes.
-        """
-        return max(TIME_EPSILON, 4.0 * math.ulp(self.env.now))
-
-    def _schedule_flush(self) -> None:
-        """Arrange one reallocation at the end of the current instant."""
-        if self._flush_scheduled:
-            return
-        self._flush_scheduled = True
-        token = self._flush_token
-        self.env.defer(lambda: self._on_flush(token))
-
-    def _on_flush(self, token: int) -> None:
-        if token != self._flush_token:
-            return  # superseded by a full reallocation in the meantime
-        self._flush_now()
-
-    def _flush_if_pending(self) -> None:
-        """Recompute rates immediately for a synchronous observer."""
-        if self._flush_scheduled:
-            self._flush_now()
-
-    def _flush_now(self) -> None:
-        self._flush_token += 1
-        self._flush_scheduled = False
-        self._recompute_rates()
-        self._arm_wakeup()
-
-    def _reallocate_and_arm(self, raises_rates: bool = False,
-                            force_scan: bool = False) -> None:
-        """Scan for finished tasks, recompute rates, arm the next wake-up.
-
-        ``raises_rates`` marks triggers (cap raise, abort) after which task
-        rates may *increase*, so the elided-scan invariant does not hold and
-        the next submit must scan again.  ``force_scan`` disables the
-        armed-horizon scan elision (needed when a task was added that the
-        armed snapshot does not cover).
-        """
-        self._flush_token += 1  # absorb any pending coalesced flush
-        self._flush_scheduled = False
-        finished = self._complete_finished(force=force_scan)
-        self._recompute_rates()
-        self._arm_wakeup()
-        # Completions free capacity (rates may rise): keep scanning until a
-        # scan comes up empty after a rates-only-fall stretch.
-        self._needs_scan = bool(finished) or raises_rates
-
-    def _complete_finished(self, force: bool = False) -> List[CpuTask]:
-        if not force:
-            # Rates are constant between wake-up armings (every rate change
-            # immediately re-arms), so each task's time-to-finish shrinks
-            # exactly with elapsed time.  Until the armed minimum is within
-            # ``slack`` of being reached, no surviving task can satisfy the
-            # completion predicate below and the O(tasks) scan is provably
-            # empty.  ``slack`` dominates both predicate thresholds — the
-            # clock resolution and the epsilon-remaining band (whose width
-            # in elapsed time is TIME_EPSILON / slowest rate) — plus an
-            # absolute margin orders of magnitude above float drift.
-            elapsed = self.env.now - self._armed_at
-            slack = max(self._time_resolution(),
-                        TIME_EPSILON / self._armed_min_rate) + 1e-6
-            if elapsed < self._armed_ttf - slack:
-                return []
-            # Per-group refinement of the same invariant: every active
-            # group's ttf/min-rate caches were refreshed by the arming and
-            # rates are unchanged since, so a group whose armed minimum
-            # time-to-finish exceeds elapsed by more than its own slack
-            # cannot contain a finishing task — only groups near the
-            # horizon are scanned.  Within one group rates are either all
-            # positive or all zero (waterfill grants every positive-demand
-            # task a positive share whenever the group's allocation is),
-            # so an infinite min-rate marks the all-zero case, which is
-            # scanned unconditionally.  Candidates are re-ordered by
-            # global submission rank, reproducing the all-tasks scan's
-            # completion order exactly.
-            resolution = self._time_resolution()
-            eps = TIME_EPSILON
-            finished = []
-            for group in self._active:
-                # The skip needs both caches valid as of the last arming: a
-                # None ttf (group invalidated since) or a non-positive /
-                # infinite min-rate (all-zero rates, or a cache never
-                # refreshed) disables it — scanning a group unnecessarily
-                # is always safe.
-                ttf = group._ttf_cache
-                min_rate = group._min_rate_cache
-                if ttf is not None and 0.0 < min_rate < math.inf:
-                    group_slack = max(resolution, eps / min_rate) + 1e-6
-                    if elapsed < ttf - group_slack:
-                        continue
-                for t in group.tasks:
-                    if t.remaining <= eps or (
-                            t.rate > 0.0
-                            and t.remaining / t.rate <= resolution):
-                        finished.append(t)
+        finished: List[CpuTask] = []
+        self._reap_due(self._tick_heap, tick, tick, finished, touched)
+        self._reap_due(self._lam_heap, self._lam, tick, finished, touched)
+        if finished:
             if len(finished) > 1:
-                finished.sort(key=lambda t: t.seq)
-            for task in finished:
-                self._tasks.pop(task, None)
-                task.group.tasks.pop(task, None)
-                self._invalidate_group(task.group)
-                task.rate = 0.0
-                task.remaining = 0.0
-                task.finished_at = self.env.now
-                task.done.succeed(self.env.now - task.started_at)
-            return finished
-        resolution = self._time_resolution()
-        eps = TIME_EPSILON
-        finished = [t for t in self._tasks
-                    if t.remaining <= eps
-                    or (t.rate > 0.0 and t.remaining / t.rate <= resolution)]
-        for task in finished:
-            self._tasks.pop(task, None)
-            task.group.tasks.pop(task, None)
-            self._invalidate_group(task.group)
-            task.rate = 0.0
-            task.remaining = 0.0
-            task.finished_at = self.env.now
-            task.done.succeed(self.env.now - task.started_at)
-        return finished
+                finished.sort(key=attrgetter("seq"))
+            self._finish(finished, self.env.now)
+        reshaped = False
+        for share in touched:
+            demand = share.n * UNITS_PER_CORE
+            if share.cap is not None and share.cap < demand:
+                demand = share.cap
+            if demand != share.demand:
+                if share.demand:
+                    self._unfile(share)
+                if share.n:
+                    self._file(share, demand)
+                else:
+                    share.stamp = 0
+                    del self._shares[share.group]
+                reshaped = True
+        if reshaped:
+            self._rewaterfill(touched)
+        for share in touched:
+            if share.n:
+                self._rekey(share)
+        self._arm(self._next_tick())
 
-    def _recompute_rates(self) -> None:
-        # Group-level water-filling always runs (one float per group, and
-        # float-identical allocations require the full demand vector in the
-        # groups' original creation order); the expensive per-group task
-        # sort + waterfill only runs for groups that changed.
-        dirty = self._dirty
-        if not dirty:
-            # No membership or cap change since the last recompute: the
-            # demand vector is unchanged, waterfill is a pure function, and
-            # every group below would hit its alloc-cache skip — the whole
-            # pass is a provable no-op (spurious wake-ups land here).
+    def _reap_due(self, heap: List[Tuple[int, int, _Share]], bound: int,
+                  tick: int, finished: List[CpuTask],
+                  touched: Dict[_Share, None]) -> None:
+        """Pop the finished tasks of every share keyed at most *bound*."""
+        while heap and heap[0][0] <= bound:
+            _key, stamp, share = heappop(heap)
+            if stamp != share.stamp:
+                continue  # superseded entry
+            self._settle(share, tick)
+            tags = share.tags
+            while tags and tags[0][0] <= share.v:
+                task = heappop(tags)[2]
+                del share.group.tasks[task]
+                finished.append(task)
+            self._active -= share.n - len(tags)
+            share.n = len(tags)
+            share.carry = 0
+            touched[share] = None
+
+    def _file(self, share: _Share, demand: int) -> None:
+        share.demand = demand
+        bucket = self._by_demand.get(demand)
+        if bucket is None:
+            bucket = self._by_demand[demand] = {}
+            insort(self._demands, demand)
+        bucket[share] = None
+
+    def _unfile(self, share: _Share) -> None:
+        demand = share.demand
+        bucket = self._by_demand[demand]
+        del bucket[share]
+        if not bucket:
+            del self._by_demand[demand]
+            del self._demands[bisect_right(self._demands, demand) - 1]
+        share.demand = 0
+
+    def _rewaterfill(self, touched: Dict[_Share, None]) -> None:
+        """Recompute the level; touch the shares that change regime."""
+        old = self._level
+        level, granted, held = water_level(
+            self._capacity, self._demands, self._by_demand, len(self._shares))
+        if level == 0 and held:
+            raise SimulationError(
+                "CPU starvation: runnable tasks but zero allocation")
+        self._level = level
+        self._rate = granted if level is None else granted + level * held
+        if level == old:
             return
-        groups = self._active  # non-empty groups, creation order
-        if self._membership_changed:
-            self._membership_changed = False
-            self._prev_alloc = None
-        # The demand vector tracks membership structurally (slots opened and
-        # closed by _invalidate_group), so only dirty groups can hold a
-        # stale value: patch them in place, located by bisecting the
-        # parallel creation-rank list.  Each patch writes an independent
-        # slot — the set's iteration order cannot affect the result.
+        if old is None or (level is not None and level < old):
+            low, high = level, old
+        else:
+            low, high = old, level
         demands = self._demands
-        seqs = self._active_seqs
-        active_set = self._active_set
-        for group in dirty:
-            if group._demand_cache is None and group in active_set:
-                demand = self._group_demand(group)
-                group._demand_cache = demand
-                demands[bisect.bisect_left(seqs, group._seq)] = demand
-        if demands:
-            first_demand = demands[0]
-            uniform = demands.count(first_demand) == len(demands)
+        start = bisect_right(demands, low)
+        stop = len(demands) if high is None else bisect_right(demands, high)
+        tick = self._tick
+        for demand in demands[start:stop]:
+            for share in self._by_demand[demand]:
+                if share not in touched:
+                    self._settle(share, tick)
+                    touched[share] = None
+
+    def _rekey(self, share: _Share) -> None:
+        """Put the share on its regime's clock and file its finish key."""
+        self._stamp += 1
+        share.stamp = self._stamp
+        need = share.n * (share.tags[0][0] - share.v) - share.carry
+        level = self._level
+        if level is None or share.demand <= level:
+            share.granted = True
+            share.x = self._tick
+            heappush(self._tick_heap,
+                     (self._tick - (-need // share.demand), self._stamp,
+                      share))
         else:
-            first_demand = 0.0
-            uniform = True
-        cores = self.cores
-        if uniform and demands and first_demand > 0.0 \
-                and cores > TIME_EPSILON:
-            # At saturation the demand vector is usually uniform (one
-            # 1.0-demand group per container).  Uniformity was tracked for
-            # free while building the vector, so replicate waterfill's
-            # under-subscribed and uniform branches here — byte-identical
-            # expressions — without its extra O(groups) uniformity pass.
-            if sum(demands) <= cores:
-                group_alloc = demands  # granted exactly (read-only alias)
-            else:
-                share = cores / len(demands)
-                if first_demand <= share:
-                    group_alloc = [first_demand] * len(demands)
-                else:
-                    group_alloc = [share] * len(demands)
-        else:
-            group_alloc = waterfill(cores, demands)
-        epoch = self._settle_epoch
-        prev_alloc = self._prev_alloc
-        if prev_alloc is not None and group_alloc == prev_alloc:
-            # Identical allocation vector over identical membership: every
-            # non-dirty group would skip below, so visit only the dirty
-            # ones (independent slots — the set's order cannot matter).
-            seqs = self._active_seqs
-            active_set = self._active_set
-            pairs = [(g, group_alloc[bisect.bisect_left(seqs, g._seq)])
-                     for g in dirty if g in active_set]
-        else:
-            self._prev_alloc = list(group_alloc)
-            pairs = zip(groups, group_alloc)
-        for group, alloc in pairs:
-            if group not in dirty and alloc == group._alloc_cache:
-                continue  # same inputs ⇒ waterfill would return the same rates
-            if len(group.tasks) == 1:
-                # One task (every Vanilla/Kraken container): the whole
-                # sort + waterfill collapses to ``waterfill(alloc, [d])``
-                # evaluated by hand — under-subscribed grants d, the
-                # over-subscribed single-entity share is alloc itself.
-                (task,) = group.tasks
-                d = task.max_share
-                if alloc > TIME_EPSILON:
-                    rate = d if d <= alloc else alloc
-                else:
-                    rate = 0.0
-                task.rate = rate
-                if rate > 0.0:
-                    ttf = task.remaining / rate
-                    group._min_rate_cache = rate
-                else:
-                    ttf = math.inf
-                    group._min_rate_cache = math.inf
-                group._alloc_cache = alloc
-                group._ttf_cache = ttf
-                group._ttf_epoch = epoch
-                continue
-            u = group._ushare
-            if u is not None:
-                # Uniform shares: the task-level waterfill output is one
-                # common rate, so the label-sorted assignment order is
-                # immaterial and the sort is skipped outright.  The branch
-                # mirrors the cached-uniform branch below expression for
-                # expression; ``min(remaining)/rate`` equals the per-task
-                # ``min(remaining/rate)`` exactly because division by a
-                # positive float is monotone.
-                gtasks = group.tasks
-                if group._sorted_cache is None:
-                    n = len(gtasks)
-                    ssum = float(n) if u == 1.0 else sum([u] * n)
-                    group._shares_sum = ssum
-                    group._sorted_cache = _UNIFORM
-                    group._shares_cache = None
-                    group._uniform_share = u
-                else:
-                    ssum = group._shares_sum
-                if alloc <= 0:
-                    rate = 0.0
-                elif alloc > TIME_EPSILON and ssum <= alloc:
-                    rate = u
-                elif alloc <= TIME_EPSILON:
-                    rate = 0.0
-                else:
-                    share = alloc / len(gtasks)
-                    rate = u if u <= share else share
-                if rate > 0.0:
-                    lowest = math.inf
-                    for task in gtasks:
-                        task.rate = rate
-                        remaining = task.remaining
-                        if remaining < lowest:
-                            lowest = remaining
-                    ttf = lowest / rate
-                    group._min_rate_cache = rate
-                else:
-                    for task in gtasks:
-                        task.rate = 0.0
-                    ttf = math.inf
-                    group._min_rate_cache = math.inf
-                group._alloc_cache = alloc
-                group._ttf_cache = ttf
-                group._ttf_epoch = epoch
-                continue
-            tasks = group._sorted_cache
-            if tasks is None:
-                # Rebuild the membership-keyed caches together: the task
-                # order, their shares vector, its sum, and (when the shares
-                # are uniform-positive, e.g. the host group's 1.0-share
-                # cold-start tasks) the common share — so repeat recomputes
-                # with a changed alloc skip waterfill's O(tasks) scans.
-                tasks = sorted(group.tasks, key=_by_label)
-                group._sorted_cache = tasks
-                shares = [t.max_share for t in tasks]
-                group._shares_cache = shares
-                group._shares_sum = sum(shares)
-                first_share = shares[0]
-                if first_share > 0.0 \
-                        and all(s == first_share for s in shares):
-                    group._uniform_share = first_share
-                else:
-                    group._uniform_share = None
-            else:
-                shares = group._shares_cache
-            common = group._uniform_share
-            if common is None:
-                task_alloc = waterfill(alloc, shares)
-            elif alloc <= 0:
-                task_alloc = [0.0] * len(shares)
-            elif alloc > TIME_EPSILON and group._shares_sum <= alloc:
-                task_alloc = shares  # everyone granted (read-only alias)
-            elif alloc <= TIME_EPSILON:
-                task_alloc = [0.0] * len(shares)
-            else:
-                # waterfill's uniform over-subscribed branch, verbatim.
-                share = alloc / len(shares)
-                if common <= share:
-                    task_alloc = [common] * len(shares)
-                else:
-                    task_alloc = [share] * len(shares)
-            # Fused min-time-to-finish: the rates are final for this
-            # settle epoch, so computing the group's wake-up horizon here
-            # saves _arm_wakeup a second pass over the same tasks (min is
-            # order-independent, so the cached value is exact).
-            ttf = math.inf
-            slowest = math.inf
-            for task, rate in zip(tasks, task_alloc):
-                task.rate = rate
-                if rate > 0.0:
-                    if rate < slowest:
-                        slowest = rate
-                    candidate = task.remaining / rate
-                    if candidate < ttf:
-                        ttf = candidate
-            group._alloc_cache = alloc
-            group._ttf_cache = ttf
-            group._min_rate_cache = slowest
-            group._ttf_epoch = epoch
-        dirty.clear()
+            share.granted = False
+            share.x = self._lam
+            heappush(self._lam_heap, (self._lam + need, self._stamp, share))
 
-    def _arm_wakeup(self) -> None:
-        self._wake_version += 1
-        version = self._wake_version
-        epoch = self._settle_epoch
-        horizon = math.inf
-        min_rate = math.inf
-        for group in self._active:
-            if group._ttf_epoch != epoch:
-                ttf = math.inf
-                slowest = math.inf
-                for task in group.tasks:
-                    rate = task.rate
-                    if rate > 0:
-                        if rate < slowest:
-                            slowest = rate
-                        candidate = task.remaining / rate
-                        if candidate < ttf:
-                            ttf = candidate
-                group._ttf_cache = ttf
-                group._min_rate_cache = slowest
-                group._ttf_epoch = epoch
-            else:
-                ttf = group._ttf_cache
-            if ttf < horizon:
-                horizon = ttf
-            if group._min_rate_cache < min_rate:
-                min_rate = group._min_rate_cache
-        self._armed_at = self.env.now
-        self._armed_ttf = horizon
-        self._armed_min_rate = min_rate
-        if math.isinf(horizon):
-            if self._tasks:
-                raise SimulationError(
-                    "CPU starvation: runnable tasks but zero allocation")
-            self._cancel_wake_timer()
-            return
-        # Never arm below the clock's resolution: a delay smaller than one
-        # ulp of `now` would not advance time (see _time_resolution).
-        horizon = max(horizon, self._time_resolution())
-        self._cancel_wake_timer()
-        timer = self.env.timeout(horizon)
-        self._wake_timer = timer
-        assert timer.callbacks is not None
-        timer.callbacks.append(self._wake_callback(version))
+    def _next_tick(self) -> Optional[int]:
+        """The earliest finish tick over both heaps."""
+        wake = _live_top(self._tick_heap)
+        lam = _live_top(self._lam_heap)
+        if lam is not None:
+            assert self._level is not None
+            tick = self._tick - (-(lam - self._lam) // self._level)
+            if wake is None or tick < wake:
+                wake = tick
+        return wake
 
-    def _wake_callback(self, version: int) -> Callable[[Event], None]:
-        return lambda _event: self._on_wakeup(version)
 
-    def _cancel_wake_timer(self) -> None:
-        if self._wake_timer is not None:
-            self._wake_timer.cancel()
-            self._wake_timer = None
-
-    def _on_wakeup(self, version: int) -> None:
-        if version != self._wake_version:
-            return  # superseded by a newer allocation
-        self._wake_timer = None
-        self._settle_elapsed()
-        self._reallocate_and_arm()
+def _live_top(heap: List[Tuple[int, int, _Share]]) -> Optional[int]:
+    """The smallest live key of *heap*, dropping superseded tops."""
+    while heap and heap[0][1] != heap[0][2].stamp:
+        heappop(heap)
+    return heap[0][0] if heap else None

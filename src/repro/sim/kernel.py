@@ -719,9 +719,7 @@ class Environment:
 
         The callback is wrapped in an urgent event at ``now``, so it runs
         before the clock advances and before any normal-priority event at
-        this instant.  Services use this to coalesce several same-instant
-        updates into one pass (e.g. the CPU engine folding a burst of
-        batch-expansion submits into a single reallocation).
+        this instant (e.g. the gateway's arrival pump starts this way).
         """
         event = Event(self)
         event._ok = True

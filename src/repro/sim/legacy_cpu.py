@@ -1,244 +1,123 @@
-"""The pre-refactor fair-share CPU engine, kept verbatim.
+"""The eager reference fair-share CPU engine.
 
-This is the two-level max-min fair engine exactly as it existed before the
-incremental reallocation refactor: every submit/finish event re-sorts and
-re-waterfills *every* group and task (O(total tasks) per event), and stale
-wake-up timers are left in the heap to fire as no-ops.
+:class:`LegacyFairShareCpu` implements the integer fair-share
+specification (:mod:`repro.sim.engine`) the direct way.  On every event it
+settles every task at the rates in force since the last event, scans every
+task for completions, runs the full waterfill over every group and
+recomputes every group's finish tick: O(total tasks) per event.
 
 It stays in the tree for two reasons:
 
 * **Perf baseline** — ``python -m repro bench`` runs the same scenario on
-  this engine and on :class:`repro.sim.fair_share.FairShareCpu` and records
-  the speedup in ``BENCH_sim.json``.
-* **Equivalence oracle** — the golden-trace tests assert that the
-  incremental engine produces byte-identical traces, event logs and metrics
-  against this reference implementation.
+  this engine and on the lazy :class:`repro.sim.fair_share.FairShareCpu`
+  and records the speedup in ``BENCH_sim.json``.
+* **Equivalence oracle** — integer sums are exact, so the lazy engine must
+  produce byte-identical traces, event logs and metrics; the golden-trace
+  and random-program tests assert it.
 
-Do not "improve" this module: its value is being frozen.  Its private
-``_waterfill`` intentionally keeps the original quadratic active-set filter.
+Keep it obvious rather than fast: its value is being the specification.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.errors import SimulationError
-from repro.common.units import TIME_EPSILON
-from repro.sim.engine import CpuGroup, CpuTask
-from repro.sim.kernel import Environment, Event
+from repro.sim.engine import (TICKS_PER_MS, UNITS_PER_CORE, CpuGroup,
+                              CpuTask, FairShareBase, waterfill)
+from repro.sim.kernel import Environment
 
 
-def _waterfill(capacity: float, demands: List[float]) -> List[float]:
-    """The original max-min water-filling loop, pre inner-loop fix."""
-    n = len(demands)
-    allocation = [0.0] * n
-    if n == 0 or capacity <= 0:
-        return allocation
-    remaining = capacity
-    active = [i for i in range(n) if demands[i] > 0]
-    while active and remaining > TIME_EPSILON:
-        share = remaining / len(active)
-        bounded = [i for i in active if demands[i] - allocation[i] <= share]
-        if bounded:
-            for i in bounded:
-                grant = demands[i] - allocation[i]
-                allocation[i] = demands[i]
-                remaining -= grant
-            active = [i for i in active if i not in set(bounded)]
-        else:
-            for i in active:
-                allocation[i] += share
-            remaining = 0.0
-    return allocation
-
-
-class LegacyFairShareCpu:
-    """The pre-refactor two-level processor-sharing CPU (frozen)."""
-
-    HOST_GROUP = "host"
+class LegacyFairShareCpu(FairShareBase):
+    """Two-level processor sharing, settled eagerly on every event."""
 
     def __init__(self, env: Environment, cores: float) -> None:
-        if cores <= 0:
-            raise ValueError(f"cores must be > 0, got {cores}")
-        self.env = env
-        self.cores = float(cores)
-        self._groups: Dict[str, CpuGroup] = {
-            self.HOST_GROUP: CpuGroup(self.HOST_GROUP, cap=None)}
+        super().__init__(env, cores)
+        #: Runnable tasks in submission order.
         self._tasks: Dict[CpuTask, None] = {}
-        self._last_update = env.now
-        self._busy_core_ms = 0.0
-        self._wake_version = 0
-        self._task_sequence = 0
-
-    # -- groups ----------------------------------------------------------------
-
-    def create_group(self, name: str, cap: Optional[float]) -> CpuGroup:
-        """Create a capped group (one per container)."""
-        if name in self._groups:
-            raise SimulationError(f"CPU group {name!r} already exists")
-        if cap is not None:
-            cap = min(cap, self.cores)
-        group = CpuGroup(name, cap)
-        self._groups[name] = group
-        return group
-
-    def remove_group(self, name: str) -> None:
-        """Remove an (empty) group when its container is torn down."""
-        if name == self.HOST_GROUP:
-            raise SimulationError("cannot remove the host group")
-        group = self._groups.pop(name, None)
-        if group is None:
-            raise SimulationError(f"unknown CPU group {name!r}")
-        if group.tasks:
-            raise SimulationError(
-                f"CPU group {name!r} still has {len(group.tasks)} tasks")
-
-    def group(self, name: str) -> CpuGroup:
-        try:
-            return self._groups[name]
-        except KeyError:
-            raise SimulationError(f"unknown CPU group {name!r}") from None
-
-    def has_group(self, name: str) -> bool:
-        return name in self._groups
-
-    def set_group_cap(self, name: str, cap: Optional[float]) -> None:
-        """Re-cap *name* at runtime (the straggler-slowdown fault hook)."""
-        if cap is not None:
-            if cap <= 0:
-                raise ValueError(f"group cap must be > 0, got {cap}")
-            cap = min(cap, self.cores)
-        group = self.group(name)
-        self._settle_elapsed()
-        group.cap = cap
-        self._reallocate_and_arm()
-
-    def abort_group_tasks(self, name: str) -> int:
-        """Drop every runnable task of *name* without firing its done event."""
-        group = self.group(name)
-        if not group.tasks:
-            return 0
-        self._settle_elapsed()
-        dropped = 0
-        for task in list(group.tasks):
-            self._tasks.pop(task, None)
-            group.tasks.pop(task, None)
-            task.rate = 0.0
-            dropped += 1
-        self._reallocate_and_arm()
-        return dropped
-
-    # -- work submission ---------------------------------------------------------
-
-    def submit(self, work: float, group: str = HOST_GROUP,
-               max_share: float = 1.0, label: str = "") -> Event:
-        """Execute *work* core-ms in *group*; the event fires on completion."""
-        if work < 0:
-            raise ValueError(f"negative work: {work}")
-        if max_share <= 0:
-            raise ValueError(f"max_share must be > 0, got {max_share}")
-        done = self.env.event()
-        if work == 0.0:
-            done.succeed(0.0)
-            return done
-        self._settle_elapsed()
-        self._task_sequence += 1
-        task = CpuTask(work=work, max_share=max_share,
-                       group=self.group(group), done=done,
-                       started_at=self.env.now,
-                       label=label or f"task-{self._task_sequence}")
-        task.group.tasks[task] = None
-        self._tasks[task] = None
-        self._reallocate_and_arm()
-        return done
-
-    # -- accounting ----------------------------------------------------------------
+        #: Rate (units per tick) and carry of every runnable group.
+        self._rates: Dict[CpuGroup, int] = {}
+        self._carry: Dict[CpuGroup, int] = {}
 
     @property
     def active_tasks(self) -> int:
         return len(self._tasks)
 
-    def busy_core_ms(self) -> float:
-        """Total core-milliseconds of work completed so far."""
-        self._settle_elapsed()
-        return self._busy_core_ms
+    def abort_group_tasks(self, name: str) -> int:
+        """Drop every runnable task of *name* without firing its done event.
 
-    def current_rate(self) -> float:
-        """Aggregate core usage right now (cores being consumed)."""
-        return sum(task.rate for task in self._tasks)
-
-    def utilization(self) -> float:
-        """Instantaneous utilization in [0, 1]."""
-        return self.current_rate() / self.cores
-
-    def runnable_group_count(self) -> int:
-        """Groups with at least one runnable task (a telemetry probe)."""
-        return sum(1 for group in self._groups.values() if group.tasks)
+        Used by container-crash teardown: the processes waiting on those
+        events were interrupted, so the events must *not* fire — the work
+        simply vanishes.  Returns the number dropped.
+        """
+        group = self.group(name)
+        if not group.tasks:
+            return 0
+        self._settle()
+        dropped = len(group.tasks)
+        for task in group.tasks:
+            del self._tasks[task]
+        group.tasks.clear()
+        self._reallocate()
+        return dropped
 
     # -- internals ----------------------------------------------------------------
 
-    def _settle_elapsed(self) -> None:
-        """Deduct work done since the last update at the current rates."""
-        now = self.env.now
-        dt = now - self._last_update
-        if dt <= 0:
-            self._last_update = now
+    def _add(self, task: CpuTask) -> None:
+        self._settle()
+        task.group.tasks[task] = None
+        self._tasks[task] = None
+        self._carry[task.group] = 0
+        self._reallocate()
+
+    def _wake(self) -> None:
+        self._settle()
+        self._reallocate()
+
+    def _recap(self, group: CpuGroup) -> None:
+        self._wake()
+
+    def _settle(self) -> None:
+        """Serve every task the work of the ticks since the last event."""
+        tick = round(self.env.now * TICKS_PER_MS)
+        elapsed = tick - self._tick
+        if elapsed <= 0:
             return
-        for task in self._tasks:
-            task.remaining -= task.rate * dt
-            self._busy_core_ms += task.rate * dt
-        self._last_update = now
+        for group, rate in self._rates.items():
+            served, self._carry[group] = divmod(
+                self._carry[group] + rate * elapsed, len(group.tasks))
+            for task in group.tasks:
+                task.remaining -= served
+        self._busy += self._rate * elapsed
+        self._tick = tick
 
-    def _time_resolution(self) -> float:
-        """Smallest representable clock advance at the current sim time."""
-        return max(TIME_EPSILON, 4.0 * math.ulp(self.env.now))
-
-    def _reallocate_and_arm(self) -> None:
-        """Recompute rates, complete finished tasks, arm the next wake-up."""
-        resolution = self._time_resolution()
-        finished = [t for t in self._tasks
-                    if t.remaining <= TIME_EPSILON
-                    or (t.rate > 0.0 and t.remaining / t.rate <= resolution)]
+    def _reallocate(self) -> None:
+        """Complete finished tasks, waterfill, arm the next finish tick."""
+        finished = [task for task in self._tasks if task.remaining <= 0]
         for task in finished:
-            self._tasks.pop(task, None)
-            task.group.tasks.pop(task, None)
-            task.rate = 0.0
-            task.remaining = 0.0
-            task.finished_at = self.env.now
-            task.done.succeed(self.env.now - task.started_at)
-        self._recompute_rates()
-        self._arm_wakeup()
-
-    def _recompute_rates(self) -> None:
-        groups = [g for g in self._groups.values() if g.tasks]
-        demands = [g.demand for g in groups]
-        group_alloc = _waterfill(self.cores, demands)
-        for group, alloc in zip(groups, group_alloc):
-            tasks = sorted(group.tasks, key=lambda t: t.label)
-            task_alloc = _waterfill(alloc, [t.max_share for t in tasks])
-            for task, rate in zip(tasks, task_alloc):
-                task.rate = rate
-
-    def _arm_wakeup(self) -> None:
-        self._wake_version += 1
-        version = self._wake_version
-        horizon = math.inf
-        for task in self._tasks:
-            if task.rate > 0:
-                horizon = min(horizon, task.remaining / task.rate)
-        if math.isinf(horizon):
-            if self._tasks and all(t.rate <= 0 for t in self._tasks):
+            del self._tasks[task]
+            del task.group.tasks[task]
+            self._carry[task.group] = 0
+        self._finish(finished, self.env.now)
+        groups: List[CpuGroup] = [group for group in self._groups.values()
+                                  if group.tasks]
+        demands = []
+        for group in groups:
+            demand = len(group.tasks) * UNITS_PER_CORE
+            cap = self._cap_units(group)
+            demands.append(demand if cap is None else min(demand, cap))
+        rates = waterfill(self._capacity, demands)
+        self._rates = dict(zip(groups, rates))
+        self._carry = {group: self._carry.get(group, 0) for group in groups}
+        self._rate = sum(rates)
+        wake = None
+        for group, rate in self._rates.items():
+            if rate == 0:
                 raise SimulationError(
                     "CPU starvation: runnable tasks but zero allocation")
-            return
-        horizon = max(horizon, self._time_resolution())
-        timeout = self.env.timeout(horizon)
-        assert timeout.callbacks is not None
-        timeout.callbacks.append(lambda _ev: self._on_wakeup(version))
-
-    def _on_wakeup(self, version: int) -> None:
-        if version != self._wake_version:
-            return  # superseded by a newer allocation
-        self._settle_elapsed()
-        self._reallocate_and_arm()
+            lowest = min(task.remaining for task in group.tasks)
+            need = len(group.tasks) * lowest - self._carry[group]
+            tick = self._tick - (-need // rate)
+            if wake is None or tick < wake:
+                wake = tick
+        self._arm(wake)

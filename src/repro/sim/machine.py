@@ -26,8 +26,8 @@ from repro.sim.sfs_cpu import SfsCpu
 CpuService = CpuEngine
 
 #: Fair-share engine implementations selectable by name; "incremental" is
-#: the default, "legacy" is the frozen pre-refactor engine (bench baseline
-#: and equivalence oracle).
+#: the default lazy engine, "legacy" the eager reference for the same
+#: integer specification (bench baseline and equivalence oracle).
 CPU_ENGINES = {
     "incremental": FairShareCpu,
     "legacy": LegacyFairShareCpu,
@@ -49,9 +49,10 @@ def build_cpu(env: Environment, discipline: "CpuDiscipline",
               cores: int, engine: str = "incremental") -> CpuEngine:
     """Construct the CPU service implementing *discipline*.
 
-    ``engine`` picks the fair-share implementation ("incremental" or
-    "legacy"); both produce bit-identical schedules.  SFS has a single
-    implementation, so the engine choice does not apply to it.
+    ``engine`` picks the fair-share implementation, "incremental" (lazy)
+    or "legacy" (eager); both implement the integer specification of
+    :mod:`repro.sim.engine`, so their schedules are byte-identical.  SFS
+    has a single implementation, so the engine choice does not apply.
     """
     if discipline is CpuDiscipline.SFS:
         return SfsCpu(env, cores)

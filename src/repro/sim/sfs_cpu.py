@@ -146,7 +146,7 @@ class SfsCpu(CpuEngineBase):
         return dropped
 
     def submit(self, work: float, group: str = CpuEngineBase.HOST_GROUP,
-               max_share: float = 1.0, label: str = "") -> Event:
+               label: str = "") -> Event:
         """Enqueue *work* core-ms; the returned event fires on completion."""
         self._validate_work(work)
         if group not in self._groups:

@@ -1,22 +1,24 @@
-"""Golden-trace equivalence: incremental CPU engine vs the frozen legacy one.
+"""Golden-trace equivalence: the lazy CPU engine vs the eager reference.
 
-The incremental fair-share engine (`repro.sim.fair_share.FairShareCpu`) and
-the unified dispatch pipeline (`repro.baselines.base.run_dispatch_pipeline`)
-must be *behavior-preserving*: same seed ⇒ byte-identical span traces, event
-logs and metrics.  Three layers of proof:
+The lazy fair-share engine (`repro.sim.fair_share.FairShareCpu`) and the
+eager reference engine (`repro.sim.legacy_cpu.LegacyFairShareCpu`)
+implement one exact integer specification, so the same seed must give
+byte-identical span traces, event logs and metrics on both.  Three layers
+of proof:
 
 1. ``tests/data/engine_goldens.json`` holds sha256 digests generated from
-   the pre-refactor tree (commit fe38b28) — the current tree must still
-   produce them (guards the whole refactor, dispatch layer included).
-2. The frozen legacy engine (`repro.sim.legacy_cpu`) must produce them too
-   (guards the oracle itself against drift).
-3. A direct in-memory byte comparison incremental-vs-legacy on the raw
-   artifacts (spans JSONL / event-log CSV / metrics JSON / per-invocation
-   latencies), which localises any future divergence without digest
-   indirection.
+   this tree under the integer specification; the current tree must still
+   produce them (guards the engines and the dispatch layer together).
+2. ``tests/data/engine_golden_stamps.json`` holds the per-invocation stamp
+   tables of the same runs, so a mismatch names the first diverging
+   scenario, invocation and field instead of only a digest.
+3. A direct in-memory byte comparison lazy-vs-eager on the raw artifacts
+   (spans JSONL / event-log CSV / metrics JSON / per-invocation latencies
+   and stamps) guards the two engines against each other.
 
-Regenerate the goldens (only when an *intentional* behavior change lands)
-with ``PYTHONPATH=src python tests/integration/test_engine_equivalence.py``.
+Regenerate both golden files (only when an *intentional* behavior change
+lands, and say why in CHANGES.md) with
+``PYTHONPATH=src python tests/integration/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ from repro.platformsim.experiment import run_experiment
 from repro.workload.generator import fib_family_specs, multi_function_trace
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "engine_goldens.json"
+STAMPS_PATH = GOLDEN_PATH.with_name("engine_golden_stamps.json")
+#: The columns of a stamp table row, one row per invocation.
+STAMP_FIELDS = ("invocation_id", "state", "container_id", "attempts",
+                "arrival_ms", "dispatched_ms", "execution_start_ms",
+                "completed_ms", "responded_ms")
 
 WINDOW_MS = 150.0
 FUNCTIONS = 3
@@ -108,9 +115,30 @@ def _run_artifacts(key: str, engine: str, kraken_parameters):
         "latencies": json.dumps(
             [[i.invocation_id, i.response_latency_ms]
              for i in result.invocations]),
+        "stamps": [[inv.invocation_id, inv.state.value, inv.container_id,
+                    inv.attempts, inv.arrival_ms, inv.dispatched_ms,
+                    inv.execution_start_ms, inv.completed_ms,
+                    inv.responded_ms]
+                   for inv in result.invocations],
         "completion_ms": result.completion_ms,
         "invocations": len(result.invocations),
     }
+
+
+def first_divergence(key: str, golden: list, stamps: list):
+    """Name the first invocation and field where *stamps* leave *golden*.
+
+    Returns ``None`` when the tables are equal.
+    """
+    for row, (want, got) in enumerate(zip(golden, stamps)):
+        for field, expected, actual in zip(STAMP_FIELDS, want, got):
+            if expected != actual:
+                return (f"{key}: invocation {want[0]} (row {row}) diverges "
+                        f"in {field}: golden {expected!r}, now {actual!r}")
+    if len(golden) != len(stamps):
+        return (f"{key}: {len(golden)} golden invocations, "
+                f"{len(stamps)} now")
+    return None
 
 
 def _digest(artifacts: dict) -> dict:
@@ -137,27 +165,59 @@ def goldens():
         return json.load(handle)
 
 
+@pytest.fixture(scope="module")
+def golden_stamps():
+    with STAMPS_PATH.open() as handle:
+        return json.load(handle)
+
+
 @pytest.mark.parametrize("key", [k for k, *_ in SCENARIOS])
-def test_engines_byte_identical(key, kraken_parameters, goldens):
-    """Incremental vs legacy raw artifacts match, and both match goldens."""
+def test_engines_byte_identical(key, kraken_parameters, goldens,
+                                golden_stamps):
+    """Lazy vs eager raw artifacts match, and both match the goldens."""
     incremental = _run_artifacts(key, "incremental", kraken_parameters)
     legacy = _run_artifacts(key, "legacy", kraken_parameters)
-    for field in ("spans", "eventlog", "metrics", "latencies",
+    for field in ("spans", "eventlog", "metrics", "latencies", "stamps",
                   "completion_ms", "invocations"):
         assert incremental[field] == legacy[field], (
             f"{key}: engines diverge in {field}")
+    divergence = first_divergence(key, golden_stamps[key],
+                                  incremental["stamps"])
+    assert divergence is None, divergence
     assert _digest(incremental) == goldens[key], (
-        f"{key}: run no longer matches the pre-refactor golden digests")
+        f"{key}: run no longer matches the golden digests")
+
+
+def test_first_divergence_names_scenario_invocation_and_field():
+    golden = [["inv-1", "completed", "c1", 1, 0.0, 1.0, 2.0, 3.0, 3.0],
+              ["inv-2", "completed", "c1", 1, 0.5, 1.0, 2.5, 4.0, 4.0]]
+    assert first_divergence("vanilla", golden, golden) is None
+    drifted = [list(row) for row in golden]
+    drifted[1][7] = 4.25
+    assert first_divergence("vanilla", golden, drifted) == (
+        "vanilla: invocation inv-2 (row 1) diverges in completed_ms: "
+        "golden 4.0, now 4.25")
+    assert first_divergence("sfs", golden, golden[:1]) == (
+        "sfs: 2 golden invocations, 1 now")
 
 
 def main() -> None:
     params = _kraken_parameters()
-    goldens = {key: _digest(_run_artifacts(key, "incremental", params))
-               for key, *_ in SCENARIOS}
+    runs = {key: _run_artifacts(key, "incremental", params)
+            for key, *_ in SCENARIOS}
+    goldens = {key: _digest(artifacts) for key, artifacts in runs.items()}
+    stamps = {key: artifacts["stamps"] for key, artifacts in runs.items()}
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=1, sort_keys=True)
                            + "\n")
-    print(f"wrote {GOLDEN_PATH} ({len(goldens)} scenarios)")
+    # One row per line: a regenerated table diffs invocation by invocation.
+    tables = []
+    for key in sorted(stamps):
+        rows = ",\n".join(f"  {json.dumps(row)}" for row in stamps[key])
+        tables.append(f" {json.dumps(key)}: [\n{rows}\n ]")
+    STAMPS_PATH.write_text("{\n" + ",\n".join(tables) + "\n}\n")
+    print(f"wrote {GOLDEN_PATH} and {STAMPS_PATH} "
+          f"({len(goldens)} scenarios)")
 
 
 if __name__ == "__main__":

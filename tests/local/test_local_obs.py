@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 from repro.local.runtime import LocalPlatform, LocalPlatformConfig
 from repro.obs import Observability
 
@@ -51,6 +53,28 @@ class TestLocalMetrics:
 
     def test_no_obs_is_fine(self):
         assert run_burst(obs=None, total=4) == list(range(4))
+
+    def test_counters_published_before_the_response(self, monkeypatch):
+        # A slow publisher must delay the response, not the counters: a
+        # metrics read right after the invoke returns sees the request.
+        publish = LocalPlatform._publish_group
+
+        def slow_publish(self, *args, **kwargs):
+            time.sleep(0.2)
+            return publish(self, *args, **kwargs)
+
+        monkeypatch.setattr(LocalPlatform, "_publish_group", slow_publish)
+        obs = Observability()
+        platform = LocalPlatform(LocalPlatformConfig(
+            window_seconds=0.005, cold_start_seconds=0.0), obs=obs)
+        platform.register("echo", lambda payload, context: payload)
+        try:
+            assert platform.invoke("echo", 7).result(timeout=10) == 7
+            snapshot = obs.metrics.snapshot()
+        finally:
+            platform.shutdown()
+        completed = snapshot.get("local.invocations.completed", {})
+        assert completed.get("value") == 1
 
 
 class TestLocalTracing:

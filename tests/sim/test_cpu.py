@@ -14,109 +14,106 @@ from repro.sim.kernel import Environment
 
 
 def run_tasks(env, cpu, specs):
-    """Submit (work, group, max_share) specs; return dict label -> finish time."""
+    """Submit (work, group) specs; return dict label -> finish time."""
     finished = {}
 
-    def worker(label, work, group, max_share):
-        yield cpu.submit(work, group=group, max_share=max_share, label=label)
+    def worker(label, work, group):
+        yield cpu.submit(work, group=group, label=label)
         finished[label] = env.now
 
-    for index, (work, group, max_share) in enumerate(specs):
-        env.process(worker(f"t{index}", work, group, max_share))
+    for index, (work, group) in enumerate(specs):
+        env.process(worker(f"t{index}", work, group))
     env.run()
     return finished
 
 
 class TestWaterfill:
+    """The integer waterfill; capacities and demands are in units."""
+
     def test_satisfies_all_when_capacity_ample(self):
-        assert waterfill(10.0, [1.0, 2.0, 3.0]) == [1.0, 2.0, 3.0]
+        assert waterfill(10, [1, 2, 3]) == [1, 2, 3]
 
     def test_equal_split_when_scarce(self):
-        assert waterfill(3.0, [5.0, 5.0, 5.0]) == [1.0, 1.0, 1.0]
+        assert waterfill(3, [5, 5, 5]) == [1, 1, 1]
 
     def test_small_demands_fully_served_first(self):
-        allocation = waterfill(4.0, [0.5, 10.0, 10.0])
-        assert allocation[0] == 0.5
-        assert allocation[1] == pytest.approx(1.75)
-        assert allocation[2] == pytest.approx(1.75)
+        assert waterfill(16, [2, 40, 40]) == [2, 7, 7]
 
     def test_zero_capacity(self):
-        assert waterfill(0.0, [1.0, 2.0]) == [0.0, 0.0]
+        assert waterfill(0, [1, 2]) == [0, 0]
 
     def test_empty_demands(self):
-        assert waterfill(5.0, []) == []
+        assert waterfill(5, []) == []
 
     def test_zero_demand_entries_receive_nothing(self):
         # Zero-demand entities must neither absorb capacity nor perturb the
-        # shares of the active ones (they never enter the active set).
-        assert waterfill(4.0, [0.0, 3.0, 0.0, 3.0]) == [0.0, 2.0, 0.0, 2.0]
+        # shares of the active ones.
+        assert waterfill(4, [0, 3, 0, 3]) == [0, 2, 0, 2]
 
     def test_all_zero_demands(self):
-        assert waterfill(4.0, [0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
+        assert waterfill(4, [0, 0, 0]) == [0, 0, 0]
 
     def test_mixed_bounded_and_unbounded(self):
-        # The two small demands are satisfiable (bounded); the two large
-        # ones split what remains equally (unbounded).
-        allocation = waterfill(6.0, [0.5, 1.0, 10.0, 10.0])
-        assert allocation[0] == 0.5
-        assert allocation[1] == 1.0
-        assert allocation[2] == pytest.approx(2.25)
-        assert allocation[3] == pytest.approx(2.25)
+        # The two small demands are satisfiable (granted); the two large
+        # ones split what remains equally (held at the level).
+        assert waterfill(24, [2, 4, 40, 40]) == [2, 4, 9, 9]
 
     def test_demand_exactly_at_equal_share_is_bounded(self):
-        # Boundary case: demand - allocation == share takes the bounded
-        # branch (<=), so the entity is served exactly and removed.
-        assert waterfill(4.0, [2.0, 2.0]) == [2.0, 2.0]
+        assert waterfill(4, [2, 2]) == [2, 2]
 
     def test_unbounded_round_exhausts_capacity(self):
-        # No entity bounded: one equal-split round consumes everything.
-        assert waterfill(3.0, [5.0, 5.0, 5.0]) == [1.0, 1.0, 1.0]
+        assert waterfill(3, [5, 5, 5]) == [1, 1, 1]
+
+    def test_remainder_stays_idle(self):
+        # 10 units over 3 equal demands: the level is 3, one unit idles.
+        assert waterfill(10, [5, 5, 5]) == [3, 3, 3]
 
     @settings(max_examples=200, deadline=None)
-    @given(capacity=st.floats(0.1, 128.0),
-           demands=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=20))
+    @given(capacity=st.integers(0, 1 << 23),
+           demands=st.lists(st.integers(0, 1 << 19), min_size=1,
+                            max_size=20))
     def test_waterfill_invariants(self, capacity, demands):
         allocation = waterfill(capacity, demands)
-        # Never exceeds any individual demand.
-        for alloc, demand in zip(allocation, demands):
-            assert alloc <= demand + 1e-9
-        # Work conserving: allocates min(capacity, total demand).
-        expected = min(capacity, sum(demands))
-        assert math.isclose(sum(allocation), expected,
-                            rel_tol=1e-9, abs_tol=1e-6)
-        # Max-min fairness: an entity below its demand never receives less
-        # than one receiving more (no envy among unsatisfied entities).
-        unsatisfied = [a for a, d in zip(allocation, demands) if a < d - 1e-9]
-        if unsatisfied:
-            floor = min(unsatisfied)
-            assert all(a <= floor + 1e-6 for a in allocation
-                       if a not in unsatisfied) or True
-            # All unsatisfied entities get (nearly) the same share.
-            assert max(unsatisfied) - min(unsatisfied) < 1e-6
+        # Never exceeds any individual demand, nor the capacity.
+        assert all(0 <= a <= d for a, d in zip(allocation, demands))
+        assert sum(allocation) <= capacity
+        unsatisfied = [a for a, d in zip(allocation, demands) if a < d]
+        if not unsatisfied:
+            return
+        # Every unsatisfied entity is held at one common level, which no
+        # allocation exceeds (max-min fairness) ...
+        level = unsatisfied[0]
+        assert all(a == level for a in unsatisfied)
+        assert max(allocation) == level
+        # ... and the level is maximal: one more unit each would overflow,
+        # so the idle remainder is below one unit per held entity.
+        assert sum(min(d, level + 1) for d in demands) > capacity
+        assert capacity - sum(allocation) < len(unsatisfied)
 
 
 class TestFairShareCpu:
     def test_single_task_runs_at_full_core(self, env):
         cpu = FairShareCpu(env, cores=4)
-        finished = run_tasks(env, cpu, [(100.0, "host", 1.0)])
+        finished = run_tasks(env, cpu, [(100.0, "host")])
         assert finished["t0"] == pytest.approx(100.0)
 
     def test_sharing_is_work_conserving(self, env):
         cpu = FairShareCpu(env, cores=2)
-        finished = run_tasks(env, cpu, [(100.0, "host", 1.0)] * 4)
+        finished = run_tasks(env, cpu, [(100.0, "host")] * 4)
         # 400 core-ms on 2 cores, all equal -> all finish at 200.
         assert all(t == pytest.approx(200.0) for t in finished.values())
         assert cpu.busy_core_ms() == pytest.approx(400.0)
 
-    def test_max_share_caps_single_task(self, env):
+    def test_fractional_cap_slows_single_task(self, env):
         cpu = FairShareCpu(env, cores=8)
-        finished = run_tasks(env, cpu, [(100.0, "host", 0.5)])
+        cpu.create_group("half", cap=0.5)
+        finished = run_tasks(env, cpu, [(100.0, "half")])
         assert finished["t0"] == pytest.approx(200.0)
 
     def test_group_cap_enforced(self, env):
         cpu = FairShareCpu(env, cores=8)
         cpu.create_group("limited", cap=1.0)
-        finished = run_tasks(env, cpu, [(100.0, "limited", 1.0)] * 2)
+        finished = run_tasks(env, cpu, [(100.0, "limited")] * 2)
         # Two tasks share the group's single core: 200 core-ms / 1 core.
         assert all(t == pytest.approx(200.0) for t in finished.values())
 
@@ -128,8 +125,8 @@ class TestFairShareCpu:
         # each group 1 core, so b's task finishes in 100 ms while a's three
         # tasks share one core.
         finished = run_tasks(env, cpu, [
-            (100.0, "a", 1.0), (100.0, "a", 1.0), (100.0, "a", 1.0),
-            (100.0, "b", 1.0),
+            (100.0, "a"), (100.0, "a"), (100.0, "a"),
+            (100.0, "b"),
         ])
         assert finished["t3"] == pytest.approx(100.0)
         # Group a had 1 core until t=100 (33.3 core-ms done per task), then
@@ -142,7 +139,7 @@ class TestFairShareCpu:
         cores = 8
         cpu = FairShareCpu(env, cores=cores)
         cpu.create_group("shared", cap=None)
-        shared = run_tasks(env, cpu, [(100.0, "shared", 1.0)] * 16)
+        shared = run_tasks(env, cpu, [(100.0, "shared")] * 16)
 
         env2 = Environment()
         cpu2 = FairShareCpu(env2, cores=cores)
