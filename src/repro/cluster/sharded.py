@@ -3,22 +3,24 @@
 A single simulator process replaying millions of invocations across many
 workers is bounded by one interpreter's heap and one core.  This runner
 splits a cluster run into ``shards`` subprocesses, each simulating a
-*stripe* of the global worker set (shard ``s`` owns global worker ``w``
-iff ``w % shards == s``) against the same streamed trace, and merges the
-results.
+disjoint subset of the global worker set against the same streamed
+trace, and merges the results.  Workers are placed onto shards by
+longest-processing-time (LPT): the trace definition fixes how many
+records each worker receives, so the heaviest worker goes first, each to
+the least-loaded shard (:meth:`ShardedClusterConfig.worker_indices`).
 
 Why this is exact, not approximate: the sharded mode requires the
 ``hash-partition`` balancer, whose routing is a pure function of
 ``(function_id, global worker count)`` — never of load.  Workers on a
 shared simulation environment are causally independent (each owns its
-machine, CPU, pool and scheduler), so simulating a subset of them with
-the other stripes absent yields byte-identical per-worker results.  Each
-shard streams its slice of the trace (skipping records routed to workers
-it does not own), publishes completions into a
-:class:`~repro.common.streaming.StreamingResultSink`, and ships the
-serialised sink — mergeable in any order — plus per-worker summaries over
-a pipe as JSON.  No per-invocation record ever crosses a process
-boundary or outlives its completion callback.
+machine, CPU, pool and scheduler), so simulating any subset of them with
+the others absent yields byte-identical per-worker results.  Each shard
+synthesises the full trace, routes every record through a per-function
+route table, submits the ones its own workers receive, publishes
+completions into a :class:`~repro.common.streaming.StreamingResultSink`,
+and ships the serialised sink — mergeable in any order — plus per-worker
+summaries over a pipe as JSON.  No per-invocation record ever crosses a
+process boundary or outlives its completion callback.
 
 Protocol (modeled on the perf bench's cell subprocesses): the child
 (``python -m repro.cluster.sharded``) reads one JSON spec from stdin and
@@ -58,7 +60,11 @@ from repro.platformsim.gateway import ReplayInjector
 from repro.platformsim.platform import ServerlessPlatform
 from repro.sim.kernel import Environment
 from repro.sim.machine import Machine, build_cpu
-from repro.workload.generator import fib_family_specs, tiled_fib_stream
+from repro.workload.generator import (
+    FIB_FUNCTION_ID,
+    fib_family_specs,
+    tiled_fib_stream,
+)
 
 #: ``ru_maxrss`` unit: bytes on macOS, kilobytes everywhere else.
 _RSS_TO_MB = (1024.0 * 1024.0) if sys.platform == "darwin" else 1024.0
@@ -124,13 +130,50 @@ class ShardedClusterConfig:
                 "window_ms": self.window_ms,
                 "reservoir_capacity": self.reservoir_capacity}
 
+    def function_homes(self) -> Dict[str, int]:
+        """Global worker of each function id under the hash partition."""
+        ids = (f"{FIB_FUNCTION_ID}-{i}" for i in range(self.functions))
+        return {fid: stable_hash(fid) % self.workers for fid in ids}
+
+    def worker_loads(self) -> List[int]:
+        """Records each global worker receives, from the stream definition.
+
+        Arrival ``k`` of the tiled stream calls ``fib-(k % functions)``.
+        """
+        loads = [0] * self.workers
+        per_function, extra = divmod(self.invocations, self.functions)
+        for i, worker in enumerate(self.function_homes().values()):
+            loads[worker] += per_function + (i < extra)
+        return loads
+
+    def placement(self) -> List[List[int]]:
+        """Every shard's global workers, by longest-processing-time.
+
+        Workers go in decreasing load (ties to the lowest index), each to
+        the least-loaded shard (ties to the one owning fewer workers, then
+        the lowest index, so no shard is left without a worker).
+        """
+        loads = self.worker_loads()
+        owned: List[List[int]] = [[] for _ in range(self.shards)]
+        shard_loads = [0] * self.shards
+        for worker in sorted(range(self.workers), key=lambda w: -loads[w]):
+            target = min(range(self.shards),
+                         key=lambda s: (shard_loads[s], len(owned[s])))
+            owned[target].append(worker)
+            shard_loads[target] += loads[worker]
+        return [sorted(workers) for workers in owned]
+
     def worker_indices(self, shard_index: int) -> List[int]:
-        """Global worker indices shard *shard_index* owns (striped)."""
+        """Global worker indices shard *shard_index* owns (LPT placement).
+
+        Any partition of the workers is exact (see the module docstring);
+        LPT only decides which one, to even out the shards' wall clocks.
+        """
         if not 0 <= shard_index < self.shards:
             raise ConfigurationError(
                 f"shard_index must be in [0, {self.shards}), "
                 f"got {shard_index}")
-        return list(range(shard_index, self.workers, self.shards))
+        return self.placement()[shard_index]
 
     def scheduler_factory(self) -> Callable[[], object]:
         build = SchedulerBuild(window_ms=self.window_ms)
@@ -257,12 +300,12 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
               progress: Optional[Callable[[int], None]] = None,
               machine_sizes: Optional[Sequence[WorkerSize]] = None,
               ) -> ShardResult:
-    """Simulate shard *shard_index*'s worker stripe over the full stream.
+    """Simulate shard *shard_index*'s workers over the full stream.
 
-    Every trace record is routed with the global hash partition; records
-    owned by other shards are skipped without being realised.  Runs in
-    the calling process — the subprocess entry point and the in-process
-    test path both land here.
+    Every shard synthesises every trace record; a route table built once
+    per function id (the global hash partition) decides which ones this
+    shard submits.  Runs in the calling process — the subprocess entry
+    point and the in-process test path both land here.
     """
     started = time.perf_counter()
     calibration = DEFAULT_CALIBRATION
@@ -277,7 +320,7 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
                                seed=config.seed + shard_index)
     env = Environment()
     # One shared Observability per shard: every worker platform on this
-    # stripe publishes into the same registry (as a single-process run
+    # shard publishes into the same registry (as a single-process run
     # would), so shard-final counter/gauge values sum exactly across
     # shards and the coordinator can reconstruct the one-process picture.
     obs = Observability()
@@ -318,17 +361,18 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
     for platform in platforms.values():
         platform.completion_listeners.append(on_complete)
 
-    owned_set = set(owned)
+    # Function id -> owning platform, or None when another shard owns it.
+    route = {fid: platforms.get(worker)
+             for fid, worker in config.function_homes().items()}
 
     def owned_records():
         for record in stream:
-            if stable_hash(record.function_id) % config.workers in owned_set:
+            if route[record.function_id] is not None:
                 yield record
 
     def submit_owned(record) -> None:
         submitted[0] += 1
-        platforms[stable_hash(record.function_id) % config.workers].submit(
-            record)
+        route[record.function_id].submit(record)
 
     def finished_submitting() -> None:
         done_submitting[0] = True
@@ -381,7 +425,7 @@ def merge_shard_results(config: ShardedClusterConfig,
     if total != config.invocations:
         raise SimulationError(
             f"shards submitted {total} invocations in total, trace has "
-            f"{config.invocations} — worker stripes overlap or leak")
+            f"{config.invocations} — shard placements overlap or leak")
     sink = StreamingResultSink.merged([s.sink for s in ordered])
     obs = (TelemetrySnapshot.merged([s.obs for s in ordered])
            if all(s.obs is not None for s in ordered) else None)
@@ -433,7 +477,8 @@ def _spawn_shard(config: ShardedClusterConfig,
 
 
 class _ShardReader(threading.Thread):
-    """Drains one shard's stdout so no shard ever blocks on a full pipe."""
+    """Drains one shard's stdout to EOF so the shard never blocks on a
+    full pipe — past a malformed line too, which it records as the error."""
 
     def __init__(self, proc: "subprocess.Popen[str]", shard_index: int,
                  on_progress: Callable[[Dict[str, object]], None]) -> None:
@@ -446,18 +491,20 @@ class _ShardReader(threading.Thread):
 
     def run(self) -> None:
         assert self.proc.stdout is not None
-        try:
-            for line in self.proc.stdout:
-                line = line.strip()
-                if not line:
-                    continue
+        for line in self.proc.stdout:
+            line = line.strip()
+            if not line or self.error is not None:
+                continue
+            try:
                 message = json.loads(line)
                 if message.get("type") == "progress":
                     self.on_progress(message)
                 elif message.get("type") == "result":
                     self.result_payload = message["payload"]
-        except Exception as exc:  # surfaced by the coordinator
-            self.error = f"{type(exc).__name__}: {exc}"
+            except Exception as exc:  # surfaced by the coordinator
+                shown = line if len(line) <= 80 else line[:77] + "..."
+                self.error = (f"bad stdout line {shown!r}: "
+                              f"{type(exc).__name__}: {exc}")
 
 
 def run_sharded_cluster(config: ShardedClusterConfig,
@@ -482,29 +529,43 @@ def run_sharded_cluster(config: ShardedClusterConfig,
         emit(f"shard {message['shard']}: {message['completed']} done, "
              f"rss {message['rss_mb']} MB")
 
-    procs = [_spawn_shard(config, index) for index in range(config.shards)]
-    readers = [_ShardReader(proc, index, on_progress)
-               for index, proc in enumerate(procs)]
-    for reader in readers:
-        reader.start()
+    procs: List["subprocess.Popen[str]"] = []
+    readers: List[_ShardReader] = []
     results: List[ShardResult] = []
     failures: List[str] = []
-    for index, (proc, reader) in enumerate(zip(procs, readers)):
-        # Drain stderr before waiting (its reader drains stdout), so this
-        # shard never blocks on a full pipe; a later shard that floods
-        # stderr just waits for its turn.  (A reader thread per stderr
-        # pipe would do the same, but each extra thread can bring its own
-        # malloc arena and raises the coordinator's peak RSS.)
-        assert proc.stderr is not None
-        stderr = proc.stderr.read()
-        code = proc.wait()
-        reader.join()
-        if code != 0 or reader.result_payload is None:
-            tail = "\n".join(stderr.strip().splitlines()[-12:])
-            detail = reader.error or f"exit {code}"
-            failures.append(f"shard {index} failed ({detail}):\n{tail}")
-            continue
-        results.append(ShardResult.from_payload(reader.result_payload))
+    try:
+        for index in range(config.shards):
+            procs.append(_spawn_shard(config, index))
+            readers.append(_ShardReader(procs[-1], index, on_progress))
+            readers[-1].start()
+        for index, (proc, reader) in enumerate(zip(procs, readers)):
+            # Drain stderr before waiting (its reader drains stdout), so
+            # this shard never blocks on a full pipe; a later shard that
+            # floods stderr just waits for its turn.  (A reader thread per
+            # stderr pipe would do the same, but each extra thread can
+            # bring its own malloc arena and raises the coordinator's
+            # peak RSS.)
+            assert proc.stderr is not None
+            stderr = proc.stderr.read()
+            code = proc.wait()
+            reader.join()
+            if code != 0 or reader.error or reader.result_payload is None:
+                tail = "\n".join(stderr.strip().splitlines()[-12:])
+                detail = reader.error or f"exit {code}"
+                failures.append(f"shard {index} failed ({detail}):\n{tail}")
+                continue
+            results.append(ShardResult.from_payload(reader.result_payload))
+    finally:
+        # Close every pipe on every path; a shard still running here (an
+        # exception escaped the loop above) is killed first.
+        for proc, reader in zip(procs, readers):
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            reader.join()
+            for pipe in (proc.stdout, proc.stderr):
+                if pipe is not None:
+                    pipe.close()
     if failures:
         raise SimulationError("; ".join(failures))
     return merge_shard_results(

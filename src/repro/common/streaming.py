@@ -30,9 +30,11 @@ maxima, histogram counts and reservoir contents never do.
 
 from __future__ import annotations
 
+import binascii
 import heapq
 import math
 import random
+import struct
 import zlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -257,16 +259,27 @@ class BoundedReservoir:
         return sorted(value for _neg, value in self._heap)
 
     def merge(self, other: "BoundedReservoir") -> None:
+        """Keep the ``capacity`` smallest priorities of both reservoirs.
+
+        One ``heapify`` (or one ``nlargest`` pass past capacity) instead
+        of an ``_insert`` per item; the kept multiset is the same.
+        """
         if other.capacity != self.capacity:
             raise ValueError("cannot merge reservoirs of different capacity")
         self.seen += other.seen
-        for neg_priority, value in other._heap:
-            self._insert(-neg_priority, value)
+        union = self._heap + other._heap
+        if len(union) > self.capacity:
+            union = heapq.nlargest(self.capacity, union)
+        heapq.heapify(union)
+        self._heap = union
 
     def to_dict(self) -> Dict[str, object]:
+        """``items`` is base64 of little-endian float64 ``(priority,
+        value)`` pairs in descending priority order (bit-exact)."""
+        flat = [x for neg, value in sorted(self._heap) for x in (-neg, value)]
+        packed = struct.pack(f"<{len(flat)}d", *flat)
         return {"capacity": self.capacity, "seen": self.seen,
-                "items": sorted([-neg, value]
-                                for neg, value in self._heap)}
+                "items": binascii.b2a_base64(packed, newline=False).decode()}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object],
@@ -274,8 +287,15 @@ class BoundedReservoir:
         reservoir = cls(capacity=int(payload["capacity"]),  # type: ignore[arg-type]
                         seed=seed)
         reservoir.seen = int(payload["seen"])  # type: ignore[arg-type]
-        for priority, value in payload["items"]:  # type: ignore[union-attr]
-            reservoir._insert(float(priority), float(value))
+        packed = binascii.a2b_base64(payload["items"])  # type: ignore[arg-type]
+        flat = struct.unpack(f"<{len(packed) // 8}d", packed)
+        if len(flat) % 2 or len(flat) > 2 * reservoir.capacity:
+            raise ValueError(f"malformed reservoir items: {len(flat)} "
+                             f"floats for capacity {reservoir.capacity}")
+        heap = [(-priority, value)
+                for priority, value in zip(flat[0::2], flat[1::2])]
+        heapq.heapify(heap)
+        reservoir._heap = heap
         return reservoir
 
 

@@ -34,12 +34,58 @@ class TestShardedClusterConfig:
         with pytest.raises(ConfigurationError, match="scheduler"):
             ShardedClusterConfig(scheduler="Kraken")
 
-    def test_worker_indices_stripe_and_partition(self):
-        config = ShardedClusterConfig(workers=5, shards=2)
-        assert config.worker_indices(0) == [0, 2, 4]
-        assert config.worker_indices(1) == [1, 3]
+    @staticmethod
+    def shard_loads(config):
+        loads = config.worker_loads()
+        return [sum(loads[w] for w in config.worker_indices(index))
+                for index in range(config.shards)]
+
+    @pytest.mark.parametrize("invocations", [1000, 1003])
+    def test_placement_partitions_and_beats_striping(self, invocations):
+        for workers in range(1, 13):
+            for shards in range(1, workers + 1):
+                for functions in range(1, 11):
+                    config = ShardedClusterConfig(
+                        invocations=invocations, functions=functions,
+                        workers=workers, shards=shards)
+                    owned = [config.worker_indices(index)
+                             for index in range(shards)]
+                    assert sorted(w for ws in owned for w in ws) \
+                        == list(range(workers)), config
+                    assert all(owned), config  # no idle shard process
+                    assert owned == ShardedClusterConfig(
+                        **config.to_dict()).placement()
+                    loads = config.worker_loads()
+                    assert sum(loads) == invocations
+                    striped = max(
+                        sum(loads[w] for w in range(s, workers, shards))
+                        for s in range(shards))
+                    assert max(self.shard_loads(config)) <= striped, config
+
+    def test_worker_loads_follow_the_stream(self):
+        config = dataclasses.replace(SMALL, invocations=1003)
+        loads = [0] * config.workers
+        homes = config.function_homes()
+        for record in tiled_fib_stream(
+                invocations=config.invocations,
+                functions=config.functions, seed=config.seed,
+                tile_invocations=config.tile_invocations):
+            loads[homes[record.function_id]] += 1
+        assert loads == config.worker_loads()
+
+    def test_azure_full_largest_shard(self):
+        config = ShardedClusterConfig(invocations=1_980_000, workers=8,
+                                      shards=4)
+        assert max(self.shard_loads(config)) == 495_000
+
+    def test_perfbench_topology_splits_evenly(self):
+        config = ShardedClusterConfig(invocations=16_000, workers=8,
+                                      shards=2)
+        assert self.shard_loads(config) == [8000, 8000]
+
+    def test_worker_indices_rejects_bad_shard(self):
         with pytest.raises(ConfigurationError):
-            config.worker_indices(2)
+            ShardedClusterConfig(workers=5, shards=2).worker_indices(2)
 
     def test_round_trips_through_dict(self):
         assert ShardedClusterConfig(**SMALL.to_dict()) == SMALL
@@ -48,26 +94,32 @@ class TestShardedClusterConfig:
 class TestShardIdentity:
     """The headline claim: sharded == single-process, exactly."""
 
-    @pytest.fixture(scope="class")
-    def sharded(self):
-        return run_sharded_cluster(SMALL, isolate=False)
+    CONFIG = SMALL
 
     @pytest.fixture(scope="class")
-    def single(self):
-        stream = tiled_fib_stream(invocations=SMALL.invocations,
-                                  functions=SMALL.functions,
-                                  seed=SMALL.seed,
-                                  tile_invocations=SMALL.tile_invocations)
+    def config(self, request):
+        return request.cls.CONFIG
+
+    @pytest.fixture(scope="class")
+    def sharded(self, config):
+        return run_sharded_cluster(config, isolate=False)
+
+    @pytest.fixture(scope="class")
+    def single(self, config):
+        stream = tiled_fib_stream(invocations=config.invocations,
+                                  functions=config.functions,
+                                  seed=config.seed,
+                                  tile_invocations=config.tile_invocations)
         return run_cluster_experiment(
-            SMALL.scheduler_factory(), stream,
-            fib_family_specs(SMALL.functions),
-            workers=SMALL.workers, balancer="hash-partition",
+            config.scheduler_factory(), stream,
+            fib_family_specs(config.functions),
+            workers=config.workers, balancer="hash-partition",
             retain_invocations=False)
 
-    def test_per_worker_counts_identical(self, sharded, single):
+    def test_per_worker_counts_identical(self, config, sharded, single):
         assert sharded.per_worker_invocations() \
             == single.per_worker_invocations
-        assert sharded.completed == SMALL.invocations
+        assert sharded.completed == config.invocations
 
     def test_latency_percentiles_identical(self, sharded, single):
         assert single.sink is not None
@@ -86,10 +138,20 @@ class TestShardIdentity:
         assert view.per_worker_containers == single.per_worker_containers
 
     def test_one_shard_equals_unsharded(self):
-        solo = dataclasses.replace(SMALL, invocations=1000, shards=1)
+        solo = dataclasses.replace(self.CONFIG, invocations=1000, shards=1)
         result = run_sharded_cluster(solo, isolate=False)
         assert result.completed == 1000
         assert sum(result.per_worker_invocations()) == 1000
+
+
+class TestShardIdentityLPT(TestShardIdentity):
+    """The same identity where LPT placement differs from striping."""
+
+    CONFIG = dataclasses.replace(SMALL, workers=8)
+
+    def test_placement_is_not_striped(self):
+        assert self.CONFIG.worker_indices(0) \
+            != list(range(0, self.CONFIG.workers, self.CONFIG.shards))
 
 
 class TestSubprocessCoordinator:
@@ -122,6 +184,26 @@ class TestSubprocessCoordinator:
         for index in range(SMALL.shards):
             assert f"shard {index} failed (exit {code}):" in message
         assert message.count("last words") == SMALL.shards
+
+    def test_malformed_stdout_keeps_draining(self, stdout_garbage,
+                                             monkeypatch):
+        # A non-JSON line must not stop the stdout drain: the child goes
+        # on to fill the pipe, and must still run to a clean exit.
+        children = []
+
+        def spawn(_config, _index):
+            children.append(stdout_garbage())
+            return children[-1]
+
+        monkeypatch.setattr(sharded, "_spawn_shard", spawn)
+        with pytest.raises(SimulationError) as failure:
+            run_sharded_cluster(SMALL, isolate=True)
+        assert [child.returncode for child in children] == [0, 0]
+        message = str(failure.value)
+        for index in range(SMALL.shards):
+            assert f"shard {index} failed (bad stdout line " \
+                   f"'Traceback? not json xxx" in message
+        assert "x" * 100 not in message  # the line is truncated
 
 
 class TestMergeShardResults:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import random
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.streaming import (
     BoundedReservoir,
@@ -153,6 +157,72 @@ class TestBoundedReservoir:
             json.loads(json.dumps(reservoir.to_dict())), seed=3)
         assert clone.seen == reservoir.seen
         assert clone.values() == reservoir.values()
+
+    def test_rejects_malformed_items(self):
+        payload = BoundedReservoir(capacity=2, seed=3).to_dict()
+        for floats in ([0.5, 1.0, 0.25], [0.5, 1.0] * 3):
+            payload["items"] = base64.b64encode(
+                struct.pack(f"<{len(floats)}d", *floats)).decode()
+            with pytest.raises(ValueError, match="malformed"):
+                BoundedReservoir.from_dict(payload)
+
+
+#: ``(priority, value)`` pairs; a few fixed priorities force ties.
+_PAIRS = st.lists(
+    st.tuples(st.one_of(st.sampled_from([0.0, 0.25, 0.5]),
+                        st.floats(0.0, 1.0, exclude_max=True)),
+              st.floats(0.0, 1e9)),
+    max_size=60)
+
+
+def _inserted(capacity: int, pairs) -> BoundedReservoir:
+    """The per-item reference: one ``_insert`` per pair."""
+    reservoir = BoundedReservoir(capacity=capacity)
+    for priority, value in pairs:
+        reservoir.seen += 1
+        reservoir._insert(priority, value)
+    return reservoir
+
+
+def _bits(reservoir: BoundedReservoir):
+    """The kept ``(priority, value)`` multiset, bit for bit."""
+    return sorted(struct.pack("<dd", -neg, value)
+                  for neg, value in reservoir._heap)
+
+
+def _is_heap(heap) -> bool:
+    return all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+
+
+class TestReservoirProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 40), pairs=_PAIRS)
+    def test_json_round_trip_is_bit_exact(self, capacity, pairs):
+        reservoir = _inserted(capacity, pairs)
+        clone = BoundedReservoir.from_dict(
+            json.loads(json.dumps(reservoir.to_dict())))
+        assert (clone.capacity, clone.seen) \
+            == (reservoir.capacity, reservoir.seen)
+        assert _bits(clone) == _bits(reservoir)
+        assert clone.to_dict() == reservoir.to_dict()
+        assert _is_heap(clone._heap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 40), left=_PAIRS, right=_PAIRS)
+    @example(capacity=40, left=[(0.5, 1.0)] * 3, right=[(0.25, 2.0)] * 3)
+    @example(capacity=2, left=[(0.5, 1.0)] * 3, right=[(0.5, 2.0)] * 3)
+    def test_merge_equals_per_item_insert(self, capacity, left, right):
+        merged = _inserted(capacity, left)
+        other = _inserted(capacity, right)
+        reference = _inserted(capacity, left)
+        reference.seen += other.seen
+        for neg, value in other._heap:
+            reference._insert(-neg, value)
+        merged.merge(other)
+        assert merged.seen == reference.seen
+        assert _bits(merged) == _bits(reference)
+        # Still a heap, so later inserts evict the largest priority.
+        assert _is_heap(merged._heap)
 
 
 class TestChannelStats:

@@ -46,31 +46,54 @@ _STDERR_FLOOD = (
     "sys.exit(int(sys.argv[1]))\n"
 )
 
+#: A child that prints one non-JSON line, then ~1.2 MB of well-formed
+#: progress lines to stdout (far past a pipe buffer), then exits 0.
+_STDOUT_GARBAGE = (
+    "import json\n"
+    "print('Traceback? not json ' + 'x' * 200)\n"
+    "for n in range(20_000):\n"
+    "    print(json.dumps({'type': 'progress', 'shard': 0,\n"
+    "                      'completed': n, 'rss_mb': 1.0}))\n"
+)
 
-@pytest.fixture
-def stderr_flood():
-    """Spawner of stderr-flooding children, all killed after 60 s.
 
-    The kill unblocks a reader that deadlocked on the flood, so such a
+def _watched_children(script: str, timeout_s: float):
+    """Fixture body: a spawner of *script* children, killed after
+    *timeout_s* and always reaped with their pipes closed.
+
+    The kill unblocks a reader that deadlocked on the child, so such a
     regression fails on the child's exit code instead of hanging.
     """
     procs: list = []
 
-    def spawn(code: int) -> subprocess.Popen:
+    def spawn(*args: object) -> subprocess.Popen:
         proc = subprocess.Popen(
-            [sys.executable, "-c", _STDERR_FLOOD, str(code)],
+            [sys.executable, "-c", script, *map(str, args)],
             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True)
         procs.append(proc)
         return proc
 
-    watchdog = threading.Timer(60.0, lambda: [p.kill() for p in procs])
+    watchdog = threading.Timer(timeout_s, lambda: [p.kill() for p in procs])
     watchdog.start()
     yield spawn
     watchdog.cancel()
     for proc in procs:
-        proc.kill()
-        proc.wait()
+        with proc:  # closes stdout/stderr, then waits
+            proc.kill()
+
+
+@pytest.fixture
+def stderr_flood():
+    """Spawner of stderr-flooding children, all killed after 60 s."""
+    yield from _watched_children(_STDERR_FLOOD, 60.0)
+
+
+@pytest.fixture
+def stdout_garbage():
+    """Spawner of children whose first stdout line is not JSON, all
+    killed after 15 s."""
+    yield from _watched_children(_STDOUT_GARBAGE, 15.0)
 
 
 def run_all(env: Environment, until: float | None = None) -> None:
