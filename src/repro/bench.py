@@ -1,33 +1,32 @@
 """Perf-bench harness: the BENCH trajectory's measurement tool.
 
-Runs a large Azure-sampled scenario through every scheduler under both
-fair-share CPU engines — the lazy one (:mod:`repro.sim.fair_share`) and
-the eager reference for the same integer specification
-(:mod:`repro.sim.legacy_cpu`) — and reports *simulator* performance:
-wall-clock seconds, kernel events/sec, invocations/sec and peak RSS.
-Simulated results are byte-identical between the two engines (proven by
-``tests/integration/test_engine_equivalence.py``), so any wall-clock
-difference is pure engine overhead.
+Runs a large Azure-sampled scenario through every scheduler and reports
+*simulator* performance: wall-clock seconds, kernel events/sec,
+invocations/sec and peak RSS.  Cells run the default lazy fair-share
+engine (:mod:`repro.sim.fair_share`); the eager reference engine
+(:mod:`repro.sim.legacy_cpu`) is a test oracle, not a bench cell.
 
 The scenario tiles a bursty Azure-shaped replay minute end to end until the
 requested invocation count is reached, keeping peak concurrency at one
 minute's burst level no matter how large the total grows.  The default tile
 is dense (several thousand arrivals per minute): high burst concurrency is
 the regime FaaSBatch targets and the regime where per-event CPU-engine cost
-dominates the simulator, so it is where the engines' wall-clock behavior
-actually differs.  ``--tile-invocations`` dials the density up or down.
+weighs most on the simulator.  ``--tile-invocations`` dials the density up
+or down.
 
 Cell isolation (schema v3)
 --------------------------
-By default every (scheduler, engine) cell runs in a **fresh subprocess**
-(``sys.executable -m repro.bench`` with a JSON cell spec on stdin):
+By default every scheduler cell runs in a **fresh subprocess**
+(``python -m repro.bench``, a child of
+:func:`repro.common.runner.run_children`):
 
 * ``peak_rss_mb`` is honest — ``ru_maxrss`` is a process-wide high-water
   mark, so in the old in-process mode every cell after the first inherited
   the largest prior cell's peak;
 * GC state, type caches and allocator arenas start cold per cell, so cells
   cannot bleed performance into each other;
-* cells without a data dependency can run concurrently (``--parallel N``).
+* cells without a data dependency can run concurrently (``--parallel N``);
+  the first cell that fails stops the others.
 
 ``isolate=False`` keeps the old in-process mode for unit tests and
 debugging; its rows carry ``"rss_isolated": false`` to mark the RSS column
@@ -37,11 +36,8 @@ Usage::
 
     python -m repro bench --invocations 50000 --out BENCH_sim.json
     python -m repro bench --profile            # embed cProfile hotspots
-    python benchmarks/perf_harness.py          # same defaults
 
-SFS is measured under its own CPU discipline (per-core adaptive slices);
-the engine knob does not apply to it, so it appears once per report and is
-excluded from the legacy-vs-incremental speedup table.
+SFS is measured under its own CPU discipline (per-core adaptive slices).
 """
 
 from __future__ import annotations
@@ -51,11 +47,9 @@ import gc
 import json
 import os
 import pstats
-import resource
-import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baselines import (
@@ -67,6 +61,7 @@ from repro.baselines import (
     policy_info,
     registered_policies,
 )
+from repro.common.runner import Child, child_main, peak_rss_mb, run_children
 from repro.obs import Observability
 from repro.platformsim.experiment import run_experiment
 from repro.workload.azure import REPLAY_DURATION_MS, replay_minute_arrivals
@@ -95,11 +90,12 @@ from repro.workload.trace import Trace, TraceRecord
 #: v7 added the ``config.queue`` knob: the event queue the kernel ran on.
 #: The kernel has one queue again, so new reports omit it and the loader
 #: ignores it on older v7 artifacts.
-BENCH_SCHEMA = "faasbatch-bench/v7"
+#: v8 dropped the eager-engine cells: ``runs`` rows lose ``engine``, and
+#: the report loses ``engines`` and the legacy ``speedup`` block.
+BENCH_SCHEMA = "faasbatch-bench/v8"
 
 #: Scheduler label of the observability-overhead run (tracing + sampling
-#: on).  Distinct from "FaaSBatch" so the (scheduler, engine) cells stay
-#: unique and the speedup table is unaffected.
+#: on).  Distinct from "FaaSBatch" so the scheduler cells stay unique.
 OBS_RUN_LABEL = "FaaSBatch+obs"
 
 #: Default arrivals per scenario tile (one simulated minute).  5x the
@@ -107,28 +103,19 @@ OBS_RUN_LABEL = "FaaSBatch+obs"
 #: concurrently runnable, which is where CPU-engine cost dominates.
 TILE_INVOCATIONS = 4000
 
-#: Schedulers whose execution rides the fair-share engine under test.
-FAIR_SHARE_SCHEDULERS = ("Vanilla", "Kraken", "FaaSBatch")
-
 #: Window-sizing policies a ``window_cells`` comparison measures, in row
 #: order: the paper's fixed window first, then the adaptive policy.
 WINDOW_CELL_POLICIES = ("fixed", "adaptive")
 
-#: ``ru_maxrss`` unit: bytes on macOS, kilobytes everywhere else.
-_RSS_TO_MB = (1024.0 * 1024.0) if sys.platform == "darwin" else 1024.0
-
-#: The committed ``BENCH_sim.json`` (schema v1, PR 3) this optimization
-#: pass is measured against: ``(wall_clock_s, kernel_events)`` per cell on
-#: the default 50k-invocation scenario.  Frozen here so every future report
-#: on that scenario carries its speedup against the same yardstick.
-BASELINE_V1: Dict[Tuple[str, str], Tuple[float, int]] = {
-    ("Vanilla", "incremental"): (95.869, 1_286_690),
-    ("SFS", "incremental"): (37.118, 5_364_365),
-    ("Kraken", "incremental"): (69.707, 666_550),
-    ("FaaSBatch", "incremental"): (52.609, 598_004),
-    ("Vanilla", "legacy"): (503.2, 1_434_635),
-    ("Kraken", "legacy"): (153.066, 769_507),
-    ("FaaSBatch", "legacy"): (164.437, 660_113),
+#: The committed ``BENCH_sim.json`` (schema v1) the optimization passes are
+#: measured against: ``(wall_clock_s, kernel_events)`` per scheduler cell
+#: on the default 50k-invocation scenario.  Frozen here so every future
+#: report on that scenario carries its speedup against the same yardstick.
+BASELINE_V1: Dict[str, Tuple[float, int]] = {
+    "Vanilla": (95.869, 1_286_690),
+    "SFS": (37.118, 5_364_365),
+    "Kraken": (69.707, 666_550),
+    "FaaSBatch": (52.609, 598_004),
 }
 
 #: The scenario the committed baseline was measured on; the baseline table
@@ -158,11 +145,7 @@ class BenchConfig:
                              f"{self.tile_invocations}")
 
     def to_dict(self) -> Dict[str, object]:
-        return {"invocations": self.invocations,
-                "functions": self.functions,
-                "seed": self.seed,
-                "window_ms": self.window_ms,
-                "tile_invocations": self.tile_invocations}
+        return asdict(self)
 
 
 def bench_trace(config: BenchConfig) -> Trace:
@@ -194,10 +177,6 @@ def bench_trace(config: BenchConfig) -> Trace:
     return Trace(records)
 
 
-def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _RSS_TO_MB
-
-
 def _profile_rows(profiler: cProfile.Profile,
                   top: int) -> List[Dict[str, object]]:
     """Top-*top* cumulative hotspots as JSON-friendly rows."""
@@ -217,9 +196,9 @@ def _profile_rows(profiler: cProfile.Profile,
 
 
 def _measure(scheduler_factory: Callable[[], object], trace: Trace, specs,
-             engine: str, obs: Optional["Observability"] = None,
+             obs: Optional["Observability"] = None,
              label: Optional[str] = None, profile_top: int = 0):
-    """Run one (scheduler, engine) cell; return (result, row).
+    """Run one scheduler cell; return (result, row).
 
     ``obs`` turns the run into an observability-overhead measurement;
     ``label`` overrides the row's scheduler name (the obs run reports as
@@ -236,21 +215,20 @@ def _measure(scheduler_factory: Callable[[], object], trace: Trace, specs,
     started = time.perf_counter()
     result = run_experiment(scheduler_factory(), trace, specs,  # type: ignore[arg-type]
                             workload_label="bench", strict_memory=False,
-                            cpu_engine=engine, obs=obs)
+                            obs=obs)
     wall_clock_s = time.perf_counter() - started
     if profiler is not None:
         profiler.disable()
     invocations = len(result.invocations)
     row: Dict[str, object] = {
         "scheduler": label if label is not None else result.scheduler_name,
-        "engine": engine,
         "invocations": invocations,
         "wall_clock_s": round(wall_clock_s, 3),
         "sim_completion_ms": result.completion_ms,
         "kernel_events": result.kernel_events,
         "events_per_sec": round(result.kernel_events / wall_clock_s, 1),
         "invocations_per_sec": round(invocations / wall_clock_s, 1),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
+        "peak_rss_mb": round(peak_rss_mb(), 1),
     }
     if profiler is not None:
         row["profiled"] = True
@@ -285,14 +263,14 @@ def _scheduler_factory(name: str, config: BenchConfig,
     return lambda: build_scheduler(info.name, build)
 
 
-def _cell_spec(config: BenchConfig, scheduler: str, engine: str,
+def _cell_spec(config: BenchConfig, scheduler: str,
                obs: bool = False, label: Optional[str] = None,
                kraken_params: Optional[Dict] = None, profile: int = 0,
                want_kraken_params: bool = False,
                window_policy: str = "fixed",
                want_latency: bool = False) -> Dict[str, object]:
     return {"config": config.to_dict(), "scheduler": scheduler,
-            "engine": engine, "obs": obs, "label": label,
+            "obs": obs, "label": label,
             "kraken_params": kraken_params, "profile": profile,
             "want_kraken_params": want_kraken_params,
             "window_policy": window_policy,
@@ -310,8 +288,7 @@ def _run_cell_inline(spec: Dict[str, object]) -> Dict[str, object]:
         window_policy=str(spec.get("window_policy") or "fixed"))
     obs = (Observability(tracing=True, sampling=True)
            if spec.get("obs") else None)
-    result, row = _measure(factory, trace, specs, str(spec["engine"]),
-                           obs=obs,
+    result, row = _measure(factory, trace, specs, obs=obs,
                            label=spec.get("label"),  # type: ignore[arg-type]
                            profile_top=int(spec.get("profile") or 0))
     if spec.get("want_latency"):
@@ -334,78 +311,26 @@ def _run_cell_inline(spec: Dict[str, object]) -> Dict[str, object]:
     return out
 
 
-def _cell_main() -> int:
-    """Entry point of a bench-cell subprocess (``-m repro.bench``).
-
-    Reads one JSON cell spec from stdin, runs it, writes the JSON result
-    to stdout.  Running in a fresh interpreter makes ``peak_rss_mb`` a
-    true per-cell measurement and isolates GC/allocator state.
-    """
-    out = _run_cell_inline(json.load(sys.stdin))
-    json.dump(out, sys.stdout)
-    sys.stdout.write("\n")
-    return 0
-
-
-def _spawn_cell(spec: Dict[str, object]) -> "subprocess.Popen[str]":
-    import repro
-    src_root = os.path.dirname(
-        os.path.dirname(os.path.abspath(repro.__file__)))
-    env = os.environ.copy()
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (src_root if not existing
-                         else src_root + os.pathsep + existing)
-    proc = subprocess.Popen([sys.executable, "-m", "repro.bench"],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env, text=True)
-    assert proc.stdin is not None
-    proc.stdin.write(json.dumps(spec))
-    proc.stdin.close()
-    # The spec is fully sent; communicate() must not flush the closed pipe.
-    proc.stdin = None
-    return proc
-
-
-def _collect_cell(proc: "subprocess.Popen[str]",
-                  spec: Dict[str, object]) -> Dict[str, object]:
-    # communicate() drains stdout and stderr together, so a child that
-    # floods stderr cannot block on a full pipe while stdout is read.
-    stdout, stderr = proc.communicate()
-    code = proc.returncode
-    if code != 0:
-        tail = "\n".join(stderr.strip().splitlines()[-12:])
-        raise RuntimeError(
-            f"bench cell {spec['scheduler']}/{spec['engine']} failed "
-            f"(exit {code}):\n{tail}")
-    return json.loads(stdout)
+def _cell_label(spec: Dict[str, object]) -> str:
+    return str(spec["label"] or spec["scheduler"])
 
 
 def _run_cells(cell_specs: List[Dict[str, object]], isolate: bool,
                parallel: int,
                emit: Callable[[str], None]) -> List[Dict[str, object]]:
-    """Run cells in order; subprocess batches of *parallel* when isolated.
+    """Run cells; up to *parallel* subprocesses at a time when isolated.
 
     Results are returned in spec order regardless of completion order, so
     the report is deterministic under ``--parallel``.
     """
-    results: List[Optional[Dict[str, object]]] = [None] * len(cell_specs)
+    labels = ", ".join(_cell_label(spec) for spec in cell_specs)
     if not isolate:
-        for index, spec in enumerate(cell_specs):
-            emit(f"[{spec['engine']}] {spec['label'] or spec['scheduler']} "
-                 "(inline) ...")
-            results[index] = _run_cell_inline(spec)
-        return results  # type: ignore[return-value]
-    width = max(1, int(parallel))
-    for start in range(0, len(cell_specs), width):
-        batch = cell_specs[start:start + width]
-        procs = []
-        for spec in batch:
-            emit(f"[{spec['engine']}] {spec['label'] or spec['scheduler']} "
-                 "...")
-            procs.append(_spawn_cell(spec))
-        for offset, (proc, spec) in enumerate(zip(procs, batch)):
-            results[start + offset] = _collect_cell(proc, spec)
-    return results  # type: ignore[return-value]
+        emit(f"{labels} (inline) ...")
+        return [_run_cell_inline(spec) for spec in cell_specs]
+    emit(f"{labels} ({parallel} at a time) ...")
+    return run_children([Child(f"bench cell {_cell_label(spec)}",
+                               "repro.bench", spec)
+                         for spec in cell_specs], parallel=parallel)
 
 
 # -- the full report --------------------------------------------------------------
@@ -428,7 +353,7 @@ def _select_bench_policies(schedulers) -> List:
     return [info for info in registered_policies() if info.name in chosen]
 
 
-def run_bench(config: BenchConfig, skip_legacy: bool = False,
+def run_bench(config: BenchConfig,
               log: Optional[Callable[[str], None]] = None,
               isolate: bool = True, parallel: int = 1,
               profile_top: int = 0,
@@ -454,23 +379,14 @@ def run_bench(config: BenchConfig, skip_legacy: bool = False,
             f"{', '.join(profiled_labels)} learns its parameters from a "
             "Vanilla profiling cell; add vanilla to the selection")
     measure_obs = "FaaSBatch" in labels
-    # Only the classic fair-share trio gets an eager-reference cell.
-    legacy_labels = [label for label in labels
-                     if label in FAIR_SHARE_SCHEDULERS]
-    engines = ["incremental"]
-    if not skip_legacy and legacy_labels:
-        engines.append("legacy")
 
-    def spec(scheduler: str, engine: str, **kwargs) -> Dict[str, object]:
-        return _cell_spec(config, scheduler, engine,
-                          profile=profile_top, **kwargs)
+    def spec(scheduler: str, **kwargs) -> Dict[str, object]:
+        return _cell_spec(config, scheduler, profile=profile_top, **kwargs)
 
-    # Phase 1: every cell without a data dependency.  The incremental
-    # Vanilla cell additionally derives Kraken's learned parameters — the
-    # paper's porting procedure ("98-percentile latency of each function
-    # obtained by the Vanilla strategy as the function SLO"); both engines
-    # produce byte-identical invocations, so one derivation serves both
-    # Kraken cells.
+    # Phase 1: every cell without a data dependency.  The Vanilla cell
+    # additionally derives Kraken's learned parameters — the paper's
+    # porting procedure ("98-percentile latency of each function obtained
+    # by the Vanilla strategy as the function SLO").
     phase1: List[Dict[str, object]] = []
     for info in infos:
         if info.needs_vanilla_profile:
@@ -478,97 +394,53 @@ def run_bench(config: BenchConfig, skip_legacy: bool = False,
         kwargs = {}
         if info.label == "Vanilla" and profiled_labels:
             kwargs["want_kraken_params"] = True
-        phase1.append(spec(info.label, "incremental", **kwargs))
+        phase1.append(spec(info.label, **kwargs))
     if measure_obs:
-        phase1.append(spec("FaaSBatch", "incremental", obs=True,
-                           label=OBS_RUN_LABEL))
-    if "legacy" in engines:
-        for label in legacy_labels:
-            if label == "Kraken":
-                continue  # phase 2
-            phase1.append(spec(label, "legacy"))
-    outputs = _run_cells(phase1, isolate, parallel, emit)
-    by_key: Dict[Tuple[str, str], Dict[str, object]] = {}
+        phase1.append(spec("FaaSBatch", obs=True, label=OBS_RUN_LABEL))
+    by_label: Dict[str, Dict[str, object]] = {}
     kraken_params = None
-    for cell, out in zip(phase1, outputs):
-        key = (str(cell["label"] or cell["scheduler"]), str(cell["engine"]))
-        by_key[key] = out["row"]
+    for cell, out in zip(phase1, _run_cells(phase1, isolate, parallel,
+                                            emit)):
+        by_label[_cell_label(cell)] = out["row"]
         if cell.get("want_kraken_params"):
             kraken_params = out.get("kraken_params")
 
-    # Phase 2: the Kraken cells, parameterised by phase 1's derivation.
+    # Phase 2: the Kraken cell, parameterised by phase 1's derivation.
     if profiled_labels:
-        phase2 = [spec("Kraken", engine, kraken_params=kraken_params)
-                  for engine in engines]
-        for cell, out in zip(phase2, _run_cells(phase2, isolate, parallel,
-                                                emit)):
-            by_key[(str(cell["scheduler"]), str(cell["engine"]))] = \
-                out["row"]
+        [out] = _run_cells([spec("Kraken", kraken_params=kraken_params)],
+                           isolate, parallel, emit)
+        by_label["Kraken"] = out["row"]
 
     # Canonical row order (stable across isolation/parallel modes).
-    order: List[Tuple[str, str]] = [(label, "incremental")
-                                    for label in labels]
-    if measure_obs:
-        order.append((OBS_RUN_LABEL, "incremental"))
-    if "legacy" in engines:
-        order += [(label, "legacy") for label in legacy_labels]
+    order = labels + ([OBS_RUN_LABEL] if measure_obs else [])
     runs: List[Dict[str, object]] = []
-    for key in order:
-        row = by_key[key]
+    for label in order:
+        row = by_label[label]
         row["rss_isolated"] = bool(isolate)
         runs.append(row)
 
     obs_overhead = None
     if measure_obs:
-        plain = by_key[("FaaSBatch", "incremental")]
-        obs_row = by_key[(OBS_RUN_LABEL, "incremental")]
+        plain = by_label["FaaSBatch"]
+        obs_row = by_label[OBS_RUN_LABEL]
         obs_overhead = {
-            "note": ("wall-clock(FaaSBatch+obs) / wall-clock(FaaSBatch), "
-                     "incremental engine; tracing + sampling are pure "
-                     "observers so simulated results are identical"),
+            "note": ("wall-clock(FaaSBatch+obs) / wall-clock(FaaSBatch); "
+                     "tracing + sampling are pure observers so simulated "
+                     "results are identical"),
             "plain_wall_clock_s": plain["wall_clock_s"],
             "obs_wall_clock_s": obs_row["wall_clock_s"],
             "wall_clock_ratio": round(
                 float(obs_row["wall_clock_s"])  # type: ignore[arg-type]
                 / max(float(plain["wall_clock_s"]), 1e-9), 3),  # type: ignore[arg-type]
         }
-    report: Dict[str, object] = {
+    return {
         "schema": BENCH_SCHEMA,
         "config": config.to_dict(),
         "schedulers": labels,
-        "engines": engines,
         "isolation": "subprocess" if isolate else "inline",
         "runs": runs,
         "obs_overhead": obs_overhead,
-        "speedup": (None if "legacy" not in engines
-                    else _speedup_table(runs)),
         "baseline": _baseline_table(runs, config),
-    }
-    return report
-
-
-def _speedup_table(runs: List[Dict[str, object]]) -> Dict[str, object]:
-    """Per-scheduler legacy/incremental wall-clock ratios (+ aggregate)."""
-    by_cell = {(r["scheduler"], r["engine"]): r for r in runs}
-    per_scheduler: Dict[str, float] = {}
-    incremental_total = 0.0
-    legacy_total = 0.0
-    for name in FAIR_SHARE_SCHEDULERS:
-        incremental_row = by_cell.get((name, "incremental"))
-        legacy_row = by_cell.get((name, "legacy"))
-        if incremental_row is None or legacy_row is None:
-            continue  # scheduler not in this run's selection
-        incremental = incremental_row["wall_clock_s"]
-        legacy = legacy_row["wall_clock_s"]
-        per_scheduler[name] = round(legacy / incremental, 2)
-        incremental_total += incremental
-        legacy_total += legacy
-    return {
-        "note": ("wall-clock(legacy) / wall-clock(incremental); SFS runs "
-                 "its own CPU discipline and is excluded"),
-        "per_scheduler": per_scheduler,
-        "overall_wall_clock": round(legacy_total / incremental_total, 2),
-        "max": max(per_scheduler.values()),
     }
 
 
@@ -584,43 +456,34 @@ def _baseline_table(runs: List[Dict[str, object]],
     if config.to_dict() != BASELINE_CONFIG:
         return None
     per_cell: Dict[str, Dict[str, float]] = {}
-    incremental_ratios: List[float] = []
-    all_ratios: List[float] = []
+    ratios: List[float] = []
     for row in runs:
-        key = (str(row["scheduler"]), str(row["engine"]))
-        baseline = BASELINE_V1.get(key)
+        name = str(row["scheduler"])
+        baseline = BASELINE_V1.get(name)
         if baseline is None or row.get("profiled"):
             continue
         base_wall_s, base_kernel_events = baseline
         wall = float(row["wall_clock_s"])  # type: ignore[arg-type]
         events = int(row["kernel_events"])  # type: ignore[arg-type]
         ratio = (events / wall) / (base_kernel_events / base_wall_s)
-        per_cell["/".join(key)] = {
+        per_cell[name] = {
             "baseline_wall_clock_s": base_wall_s,
             "wall_clock_speedup": round(base_wall_s / wall, 2),
             "baseline_events_per_sec": round(
                 base_kernel_events / base_wall_s, 1),
             "events_per_sec_speedup": round(ratio, 2),
         }
-        all_ratios.append(ratio)
-        if key[1] == "incremental":
-            incremental_ratios.append(ratio)
+        ratios.append(ratio)
     if not per_cell:
         return None
     return {
         "note": ("vs the committed faasbatch-bench/v1 BENCH_sim.json "
                  "(pre-optimization) on the identical scenario; aggregate "
-                 "= arithmetic mean of the per-cell events/sec speedups. "
-                 "The headline covers the incremental-engine (default) "
-                 "cells — the legacy cells measure the eager reference "
-                 "engine, so they are reported separately in all_cells."),
+                 "= arithmetic mean of the per-cell events/sec speedups"),
         "per_cell": per_cell,
         "aggregate_events_per_sec": {
-            "speedup": round(
-                sum(incremental_ratios) / len(incremental_ratios), 2),
-            "all_cells_speedup": round(sum(all_ratios) / len(all_ratios), 2),
-            "cells": len(incremental_ratios),
-            "all_cells": len(all_ratios),
+            "speedup": round(sum(ratios) / len(ratios), 2),
+            "cells": len(ratios),
         },
     }
 
@@ -643,7 +506,7 @@ def run_window_cells(config: BenchConfig,
     """
     emit = log if log is not None else (lambda _msg: None)
     cell_specs = [
-        _cell_spec(config, "FaaSBatch", "incremental",
+        _cell_spec(config, "FaaSBatch",
                    label=f"FaaSBatch[{policy}-window]",
                    window_policy=policy, want_latency=True)
         for policy in WINDOW_CELL_POLICIES
@@ -808,6 +671,23 @@ def _validate_slo_block(owner: str, block: object) -> None:
                              "'check' and a bool 'ok'")
 
 
+def _require_non_negative(owner: str, row: Dict[str, object],
+                          keys) -> None:
+    for key in keys:
+        value = row.get(key)
+        if not isinstance(value, (int, float)) or value < 0:
+            raise ValueError(f"{owner}: {key} must be a non-negative number")
+
+
+def _require_latency(owner: str, row: Dict[str, object]) -> None:
+    latency = row.get("latency_ms")
+    if not isinstance(latency, dict):
+        raise ValueError(f"{owner} needs a latency_ms summary")
+    for key in ("p50", "p95", "p99", "mean"):
+        if not isinstance(latency.get(key), (int, float)):
+            raise ValueError(f"{owner}: latency_ms.{key} must be a number")
+
+
 def _validate_cluster_obs(owner: str, obs: object) -> None:
     """Shape-check one cluster cell's merged telemetry (schema v6)."""
     if obs is None:
@@ -844,12 +724,8 @@ def _validate_cluster_cells(cells: object) -> None:
         if row.get("isolation") not in ("subprocess", "inline"):
             raise ValueError("cluster cell isolation must be 'subprocess' "
                              "or 'inline'")
-        for key in numeric:
-            value = row.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"cluster cell {row.get('cell')!r}: {key} must be a "
-                    "non-negative number")
+        owner = f"cluster cell {row.get('cell')!r}"
+        _require_non_negative(owner, row, numeric)
         shards = row.get("per_shard")
         if not isinstance(shards, list) or not shards:
             raise ValueError("cluster cell needs a non-empty per_shard "
@@ -861,13 +737,7 @@ def _validate_cluster_cells(cells: object) -> None:
                         "peak_rss_mb"):
                 if not isinstance(shard.get(key), (int, float)):
                     raise ValueError(f"per_shard.{key} must be a number")
-        latency = row.get("latency_ms")
-        if not isinstance(latency, dict):
-            raise ValueError("cluster cell needs a latency_ms summary")
-        for key in ("p50", "p95", "p99", "mean"):
-            if not isinstance(latency.get(key), (int, float)):
-                raise ValueError(f"latency_ms.{key} must be a number")
-        owner = f"cluster cell {row.get('cell')!r}"
+        _require_latency(owner, row)
         _validate_cluster_obs(owner, row.get("obs"))
         _validate_slo_block(owner, row.get("slo"))
 
@@ -888,23 +758,13 @@ def _validate_window_cells(cells: object) -> None:
             raise ValueError("window cell window_policy must match 'cell'")
         if not isinstance(row.get("scheduler"), str):
             raise ValueError("window cell scheduler must be a string")
-        for key in numeric:
-            value = row.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"window cell {row.get('cell')!r}: {key} must be a "
-                    "non-negative number")
+        owner = f"window cell {row.get('cell')!r}"
+        _require_non_negative(owner, row, numeric)
         goodput = row.get("goodput")
         if not isinstance(goodput, (int, float)) or not 0 <= goodput <= 1:
             raise ValueError("window cell goodput must be in [0, 1]")
-        latency = row.get("latency_ms")
-        if not isinstance(latency, dict):
-            raise ValueError("window cell needs a latency_ms summary")
-        for key in ("p50", "p95", "p99", "mean"):
-            if not isinstance(latency.get(key), (int, float)):
-                raise ValueError(f"latency_ms.{key} must be a number")
-        _validate_slo_block(f"window cell {row.get('cell')!r}",
-                            row.get("slo"))
+        _require_latency(owner, row)
+        _validate_slo_block(owner, row.get("slo"))
 
 
 def _validate_gateway_cells(cells: object) -> None:
@@ -934,26 +794,16 @@ def _validate_gateway_cells(cells: object) -> None:
         if not isinstance(config.get("mix"), dict) or not config["mix"]:
             raise ValueError("gateway cell config.mix must be a non-empty "
                              "object")
-        for key in numeric:
-            value = row.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"gateway cell {row.get('cell')!r}: {key} must be a "
-                    "non-negative number")
+        owner = f"gateway cell {row.get('cell')!r}"
+        _require_non_negative(owner, row, numeric)
         ratio = row.get("goodput_ratio")
         if not isinstance(ratio, (int, float)) or not 0 <= ratio <= 1:
             raise ValueError("gateway cell goodput_ratio must be in "
                              "[0, 1]")
         if not isinstance(row.get("mode_flips"), list):
             raise ValueError("gateway cell mode_flips must be a list")
-        latency = row.get("latency_ms")
-        if not isinstance(latency, dict):
-            raise ValueError("gateway cell needs a latency_ms summary")
-        for key in ("p50", "p95", "p99", "mean"):
-            if not isinstance(latency.get(key), (int, float)):
-                raise ValueError(f"latency_ms.{key} must be a number")
-        _validate_slo_block(f"gateway cell {row.get('cell')!r}",
-                            row.get("slo"))
+        _require_latency(owner, row)
+        _validate_slo_block(owner, row.get("slo"))
 
 
 def validate_report(report: Dict[str, object]) -> None:
@@ -961,7 +811,7 @@ def validate_report(report: Dict[str, object]) -> None:
 
     Used by the CI smoke job (and the unit tests) to guard the format that
     downstream BENCH tooling will parse.  A v5 report carries a ``runs``
-    section (the scheduler × engine grid), a ``cluster_cells`` section
+    section (the scheduler grid), a ``cluster_cells`` section
     (sharded cluster replays), a ``gateway_cells`` section (live-serving
     load cells), a ``window_cells`` section (fixed-vs-adaptive window
     sizing), or any combination.
@@ -1015,27 +865,17 @@ def validate_report(report: Dict[str, object]) -> None:
             raise ValueError("each run must be an object")
         if not isinstance(row.get("scheduler"), str):
             raise ValueError("run.scheduler must be a string")
-        if row.get("engine") not in ("incremental", "legacy"):
-            raise ValueError(f"bad run.engine: {row.get('engine')!r}")
-        for key in numeric:
-            value = row.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(f"run.{key} must be a non-negative number")
+        _require_non_negative(f"run {row.get('scheduler')!r}", row, numeric)
         if not isinstance(row.get("rss_isolated"), bool):
             raise ValueError("run.rss_isolated must be a bool (schema v3)")
         if "profile_top" in row and not isinstance(row["profile_top"], list):
             raise ValueError("run.profile_top must be a list when present")
         _validate_slo_block(f"run {row.get('scheduler')!r}",
                             row.get("slo"))
-    engines = report.get("engines")
-    if not isinstance(engines, list) or "incremental" not in engines:
-        raise ValueError("engines must list at least 'incremental'")
     # The obs-overhead contract follows the FaaSBatch cell: measured runs
     # must carry the paired obs cell and ratio block; a selection without
     # FaaSBatch has neither (schema v5).
-    has_faasbatch = any(row.get("scheduler") == "FaaSBatch"
-                        and row.get("engine") == "incremental"
-                        for row in runs)
+    has_faasbatch = any(row.get("scheduler") == "FaaSBatch" for row in runs)
     obs_overhead = report.get("obs_overhead")
     if has_faasbatch:
         if not isinstance(obs_overhead, dict):
@@ -1052,21 +892,6 @@ def validate_report(report: Dict[str, object]) -> None:
     elif obs_overhead is not None:
         raise ValueError("obs_overhead must be null when FaaSBatch was "
                          "not measured")
-    speedup = report.get("speedup")
-    if "legacy" in engines:
-        if not isinstance(speedup, dict):
-            raise ValueError("speedup required when legacy was measured")
-        per_scheduler = speedup.get("per_scheduler")
-        if not isinstance(per_scheduler, dict) or not per_scheduler:
-            raise ValueError("speedup.per_scheduler must be non-empty")
-        for name, ratio in per_scheduler.items():
-            if not isinstance(ratio, (int, float)) or ratio <= 0:
-                raise ValueError(f"speedup.per_scheduler[{name!r}] must be "
-                                 "a positive number")
-        if not isinstance(speedup.get("overall_wall_clock"), (int, float)):
-            raise ValueError("speedup.overall_wall_clock must be a number")
-    elif speedup is not None:
-        raise ValueError("speedup must be null without a legacy column")
     if "baseline" not in report:
         raise ValueError("baseline key required (schema v3; null when the "
                          "scenario differs from the committed baseline's)")
@@ -1077,12 +902,10 @@ def validate_report(report: Dict[str, object]) -> None:
         aggregate = baseline.get("aggregate_events_per_sec")
         if not isinstance(aggregate, dict):
             raise ValueError("baseline.aggregate_events_per_sec required")
-        for key in ("speedup", "all_cells_speedup"):
-            value = aggregate.get(key)
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise ValueError(
-                    f"baseline.aggregate_events_per_sec.{key} must be a "
-                    "positive number")
+        speedup = aggregate.get("speedup")
+        if not isinstance(speedup, (int, float)) or speedup <= 0:
+            raise ValueError("baseline.aggregate_events_per_sec.speedup "
+                             "must be a positive number")
         if not isinstance(baseline.get("per_cell"), dict) \
                 or not baseline["per_cell"]:
             raise ValueError("baseline.per_cell must be non-empty")
@@ -1160,4 +983,4 @@ __all__ = [
 
 
 if __name__ == "__main__":
-    sys.exit(_cell_main())
+    sys.exit(child_main(lambda spec, _progress: _run_cell_inline(spec)))

@@ -22,22 +22,18 @@ and ships the serialised sink — mergeable in any order — plus per-worker
 summaries over a pipe as JSON.  No per-invocation record ever crosses a
 process boundary or outlives its completion callback.
 
-Protocol (modeled on the perf bench's cell subprocesses): the child
-(``python -m repro.cluster.sharded``) reads one JSON spec from stdin and
-writes JSONL to stdout — ``{"type": "progress", ...}`` heartbeats while
-replaying, then a single ``{"type": "result", ...}`` payload.
+Protocol: every shard is a child of :func:`repro.common.runner.run_children`
+(``python -m repro.cluster.sharded``).  It reads one JSON spec from stdin
+and writes JSONL to stdout — ``{"type": "progress", ...}`` heartbeats
+while replaying, then a single ``{"type": "result", ...}`` payload.  The
+first shard that fails stops its siblings.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import resource
-import subprocess
 import sys
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.baselines import (
@@ -46,6 +42,7 @@ from repro.baselines import (
     registered_policies,
 )
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.runner import Child, child_main, peak_rss_mb, run_children
 from repro.common.streaming import (
     DEFAULT_RESERVOIR_CAPACITY,
     StreamingResultSink,
@@ -66,9 +63,6 @@ from repro.workload.generator import (
     tiled_fib_stream,
 )
 
-#: ``ru_maxrss`` unit: bytes on macOS, kilobytes everywhere else.
-_RSS_TO_MB = (1024.0 * 1024.0) if sys.platform == "darwin" else 1024.0
-
 #: Completions between progress heartbeats on the child's stdout.
 PROGRESS_EVERY = 10_000
 
@@ -79,11 +73,6 @@ PROGRESS_EVERY = 10_000
 #: side channel for them.)
 SHARD_SCHEDULERS = tuple(info.label for info in registered_policies()
                          if not info.needs_vanilla_profile)
-
-
-def peak_rss_mb() -> float:
-    """This process's lifetime peak RSS in MB (honest per shard)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _RSS_TO_MB
 
 
 @dataclass(frozen=True)
@@ -120,15 +109,7 @@ class ShardedClusterConfig:
                 f"got {self.scheduler!r}")
 
     def to_dict(self) -> Dict[str, object]:
-        return {"invocations": self.invocations,
-                "functions": self.functions,
-                "seed": self.seed,
-                "tile_invocations": self.tile_invocations,
-                "workers": self.workers,
-                "shards": self.shards,
-                "scheduler": self.scheduler,
-                "window_ms": self.window_ms,
-                "reservoir_capacity": self.reservoir_capacity}
+        return asdict(self)
 
     def function_homes(self) -> Dict[str, int]:
         """Global worker of each function id under the hash partition."""
@@ -201,40 +182,19 @@ class ShardResult:
     obs: Optional[TelemetrySnapshot] = None
 
     def to_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "shard_index": self.shard_index,
-            "worker_indices": self.worker_indices,
-            "per_worker_invocations": self.per_worker_invocations,
-            "per_worker_containers": self.per_worker_containers,
-            "per_worker_memory_mb": self.per_worker_memory_mb,
-            "submitted": self.submitted,
-            "completion_ms": self.completion_ms,
-            "wall_clock_s": self.wall_clock_s,
-            "peak_rss_mb": self.peak_rss_mb,
-            "kernel_events": self.kernel_events,
-            "sink": self.sink.to_dict()}
-        if self.obs is not None:
-            payload["obs"] = self.obs.to_dict()
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["sink"] = self.sink.to_dict()
+        payload["obs"] = self.obs.to_dict() if self.obs is not None else None
         return payload
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "ShardResult":
-        return cls(
-            shard_index=int(payload["shard_index"]),  # type: ignore[arg-type]
-            worker_indices=list(payload["worker_indices"]),  # type: ignore
-            per_worker_invocations=list(payload["per_worker_invocations"]),  # type: ignore[arg-type]
-            per_worker_containers=list(payload["per_worker_containers"]),  # type: ignore[arg-type]
-            per_worker_memory_mb=list(payload["per_worker_memory_mb"]),  # type: ignore[arg-type]
-            submitted=int(payload["submitted"]),  # type: ignore[arg-type]
-            completion_ms=float(payload["completion_ms"]),  # type: ignore[arg-type]
-            wall_clock_s=float(payload["wall_clock_s"]),  # type: ignore[arg-type]
-            peak_rss_mb=float(payload["peak_rss_mb"]),  # type: ignore[arg-type]
-            kernel_events=int(payload["kernel_events"]),  # type: ignore[arg-type]
-            sink=StreamingResultSink.from_dict(
-                payload["sink"]),  # type: ignore[arg-type]
-            obs=(TelemetrySnapshot.from_dict(
-                payload["obs"])  # type: ignore[arg-type]
-                if payload.get("obs") is not None else None))
+        obs = payload.get("obs")
+        return cls(**{  # type: ignore[arg-type]
+            **payload,
+            "sink": StreamingResultSink.from_dict(payload["sink"]),  # type: ignore[arg-type]
+            "obs": (TelemetrySnapshot.from_dict(obs)  # type: ignore[arg-type]
+                    if obs is not None else None)})
 
 
 @dataclass
@@ -437,74 +397,16 @@ def merge_shard_results(config: ShardedClusterConfig,
 # -- subprocess plumbing ----------------------------------------------------------
 
 
-def _shard_main() -> int:
-    """Child entry (``python -m repro.cluster.sharded``): spec on stdin."""
-    spec = json.load(sys.stdin)
-    config = ShardedClusterConfig(**spec["config"])
-    shard_index = int(spec["shard_index"])
+def _shard_main(spec: Dict[str, object], progress) -> Dict[str, object]:
+    """Child body (``python -m repro.cluster.sharded``): one shard."""
+    config = ShardedClusterConfig(**spec["config"])  # type: ignore[arg-type]
+    shard_index = int(spec["shard_index"])  # type: ignore[arg-type]
 
     def emit_progress(count: int) -> None:
-        json.dump({"type": "progress", "shard": shard_index,
-                   "completed": count, "rss_mb": round(peak_rss_mb(), 1)},
-                  sys.stdout)
-        sys.stdout.write("\n")
-        sys.stdout.flush()
+        progress({"shard": shard_index, "completed": count,
+                  "rss_mb": round(peak_rss_mb(), 1)})
 
-    result = run_shard(config, shard_index, progress=emit_progress)
-    json.dump({"type": "result", "payload": result.to_payload()},
-              sys.stdout)
-    sys.stdout.write("\n")
-    return 0
-
-
-def _spawn_shard(config: ShardedClusterConfig,
-                 shard_index: int) -> "subprocess.Popen[str]":
-    import repro
-    src_root = os.path.dirname(
-        os.path.dirname(os.path.abspath(repro.__file__)))
-    env = os.environ.copy()
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (src_root if not existing
-                         else src_root + os.pathsep + existing)
-    proc = subprocess.Popen([sys.executable, "-m", "repro.cluster.sharded"],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env, text=True)
-    assert proc.stdin is not None
-    proc.stdin.write(json.dumps({"config": config.to_dict(),
-                                 "shard_index": shard_index}))
-    proc.stdin.close()
-    return proc
-
-
-class _ShardReader(threading.Thread):
-    """Drains one shard's stdout to EOF so the shard never blocks on a
-    full pipe — past a malformed line too, which it records as the error."""
-
-    def __init__(self, proc: "subprocess.Popen[str]", shard_index: int,
-                 on_progress: Callable[[Dict[str, object]], None]) -> None:
-        super().__init__(daemon=True)
-        self.proc = proc
-        self.shard_index = shard_index
-        self.on_progress = on_progress
-        self.result_payload: Optional[Dict[str, object]] = None
-        self.error: Optional[str] = None
-
-    def run(self) -> None:
-        assert self.proc.stdout is not None
-        for line in self.proc.stdout:
-            line = line.strip()
-            if not line or self.error is not None:
-                continue
-            try:
-                message = json.loads(line)
-                if message.get("type") == "progress":
-                    self.on_progress(message)
-                elif message.get("type") == "result":
-                    self.result_payload = message["payload"]
-            except Exception as exc:  # surfaced by the coordinator
-                shown = line if len(line) <= 80 else line[:77] + "..."
-                self.error = (f"bad stdout line {shown!r}: "
-                              f"{type(exc).__name__}: {exc}")
+    return run_shard(config, shard_index, progress=emit_progress).to_payload()
 
 
 def run_sharded_cluster(config: ShardedClusterConfig,
@@ -515,7 +417,9 @@ def run_sharded_cluster(config: ShardedClusterConfig,
 
     ``isolate=False`` runs the shards sequentially in this process —
     deterministic and convenient for tests, but per-shard RSS is then the
-    process-wide high-water mark.
+    process-wide high-water mark.  A failing shard subprocess stops the
+    others and raises :class:`~repro.common.runner.ChildFailure` (a
+    :class:`SimulationError`).
     """
     emit = log if log is not None else (lambda _msg: None)
     started = time.perf_counter()
@@ -529,47 +433,14 @@ def run_sharded_cluster(config: ShardedClusterConfig,
         emit(f"shard {message['shard']}: {message['completed']} done, "
              f"rss {message['rss_mb']} MB")
 
-    procs: List["subprocess.Popen[str]"] = []
-    readers: List[_ShardReader] = []
-    results: List[ShardResult] = []
-    failures: List[str] = []
-    try:
-        for index in range(config.shards):
-            procs.append(_spawn_shard(config, index))
-            readers.append(_ShardReader(procs[-1], index, on_progress))
-            readers[-1].start()
-        for index, (proc, reader) in enumerate(zip(procs, readers)):
-            # Drain stderr before waiting (its reader drains stdout), so
-            # this shard never blocks on a full pipe; a later shard that
-            # floods stderr just waits for its turn.  (A reader thread per
-            # stderr pipe would do the same, but each extra thread can
-            # bring its own malloc arena and raises the coordinator's
-            # peak RSS.)
-            assert proc.stderr is not None
-            stderr = proc.stderr.read()
-            code = proc.wait()
-            reader.join()
-            if code != 0 or reader.error or reader.result_payload is None:
-                tail = "\n".join(stderr.strip().splitlines()[-12:])
-                detail = reader.error or f"exit {code}"
-                failures.append(f"shard {index} failed ({detail}):\n{tail}")
-                continue
-            results.append(ShardResult.from_payload(reader.result_payload))
-    finally:
-        # Close every pipe on every path; a shard still running here (an
-        # exception escaped the loop above) is killed first.
-        for proc, reader in zip(procs, readers):
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait()
-            reader.join()
-            for pipe in (proc.stdout, proc.stderr):
-                if pipe is not None:
-                    pipe.close()
-    if failures:
-        raise SimulationError("; ".join(failures))
+    payloads = run_children(
+        [Child(f"shard {index}", "repro.cluster.sharded",
+               {"config": config.to_dict(), "shard_index": index})
+         for index in range(config.shards)],
+        on_progress=on_progress)
     return merge_shard_results(
-        config, results, round(time.perf_counter() - started, 3))
+        config, [ShardResult.from_payload(payload) for payload in payloads],
+        round(time.perf_counter() - started, 3))
 
 
 __all__ = [
@@ -579,11 +450,10 @@ __all__ = [
     "ShardedClusterConfig",
     "ShardedClusterResult",
     "merge_shard_results",
-    "peak_rss_mb",
     "run_shard",
     "run_sharded_cluster",
 ]
 
 
 if __name__ == "__main__":
-    sys.exit(_shard_main())
+    sys.exit(child_main(_shard_main))

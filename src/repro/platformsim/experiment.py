@@ -64,7 +64,7 @@ def run_experiment(scheduler: "Scheduler",
     ``enabled=True`` to capture the run's typed event stream).
     ``cpu_engine`` selects the fair-share implementation ("incremental"
     or the eager reference "legacy"); both give identical results —
-    the knob exists for the perf bench and the equivalence tests.
+    the knob exists for the equivalence tests.
     """
     if timeout_ms is None:
         timeout_ms = trace.end_ms + 2.0 * HOUR

@@ -11,7 +11,7 @@ three engines with one interface (:class:`CpuEngine`):
   (per-core adaptive time slices).
 * :class:`repro.sim.legacy_cpu.LegacyFairShareCpu` — the eager reference
   for the same fair-share specification: it settles every task on every
-  event.  It is the perf-bench baseline and the equivalence oracle.
+  event.  It is the equivalence oracle the tests hold the lazy engine to.
 
 :class:`CpuEngineBase` holds the scaffolding every engine repeats —
 group bookkeeping, validation, utilization accounting — and

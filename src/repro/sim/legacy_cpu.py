@@ -6,14 +6,10 @@ settles every task at the rates in force since the last event, scans every
 task for completions, runs the full waterfill over every group and
 recomputes every group's finish tick: O(total tasks) per event.
 
-It stays in the tree for two reasons:
-
-* **Perf baseline** — ``python -m repro bench`` runs the same scenario on
-  this engine and on the lazy :class:`repro.sim.fair_share.FairShareCpu`
-  and records the speedup in ``BENCH_sim.json``.
-* **Equivalence oracle** — integer sums are exact, so the lazy engine must
-  produce byte-identical traces, event logs and metrics; the golden-trace
-  and random-program tests assert it.
+It stays in the tree as the **equivalence oracle**: integer sums are
+exact, so the lazy :class:`repro.sim.fair_share.FairShareCpu` must produce
+byte-identical traces, event logs and metrics; the golden-trace and
+random-program tests assert it.  The perf bench does not run it.
 
 Keep it obvious rather than fast: its value is being the specification.
 """

@@ -27,7 +27,7 @@ CpuService = CpuEngine
 
 #: Fair-share engine implementations selectable by name; "incremental" is
 #: the default lazy engine, "legacy" the eager reference for the same
-#: integer specification (bench baseline and equivalence oracle).
+#: integer specification (the tests' equivalence oracle).
 CPU_ENGINES = {
     "incremental": FairShareCpu,
     "legacy": LegacyFairShareCpu,

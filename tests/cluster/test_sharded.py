@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+import time
 
 import pytest
 
-from repro.cluster import run_cluster_experiment, sharded
+from repro.cluster import run_cluster_experiment
 from repro.cluster.sharded import (
     SHARD_SCHEDULERS,
     ShardResult,
@@ -173,37 +175,54 @@ class TestSubprocessCoordinator:
 
     @pytest.mark.parametrize("code", [0, 1])
     def test_stderr_flood_fails_with_tail(self, code, stderr_flood,
-                                          monkeypatch):
-        # Neither child sends a result, so both shards fail; the flood
-        # must not deadlock the coordinator before it can say so.
-        monkeypatch.setattr(sharded, "_spawn_shard",
-                            lambda _config, _index: stderr_flood(code))
+                                          route_spawns):
+        # Neither child sends a result, so the first to finish fails the
+        # run; the flood must not deadlock the coordinator before it can
+        # say so, and its stderr tail is quoted.
+        reason = "exit 1" if code else "exit 0 without a result"
+        children = route_spawns(lambda _child: stderr_flood(code))
         with pytest.raises(SimulationError) as failure:
             run_sharded_cluster(SMALL, isolate=True)
         message = str(failure.value)
-        for index in range(SMALL.shards):
-            assert f"shard {index} failed (exit {code}):" in message
-        assert message.count("last words") == SMALL.shards
+        assert re.match(rf"shard [01] failed \({reason}\)"
+                        r"(; stopped shard [01])?:\n", message), message
+        assert message.count("last words") == 1
+        assert message.endswith("noise\nlast words")
+        assert all(child.returncode is not None
+                   for child in children.values())
 
     def test_malformed_stdout_keeps_draining(self, stdout_garbage,
-                                             monkeypatch):
-        # A non-JSON line must not stop the stdout drain: the child goes
-        # on to fill the pipe, and must still run to a clean exit.
-        children = []
-
-        def spawn(_config, _index):
-            children.append(stdout_garbage())
-            return children[-1]
-
-        monkeypatch.setattr(sharded, "_spawn_shard", spawn)
+                                             route_spawns):
+        # A non-JSON line fails its shard at once: the coordinator must not
+        # stop draining and wait on a child blocked on a full pipe; it
+        # stops every child instead and quotes the line, truncated.
+        children = route_spawns(lambda _child: stdout_garbage())
+        started = time.perf_counter()
         with pytest.raises(SimulationError) as failure:
             run_sharded_cluster(SMALL, isolate=True)
-        assert [child.returncode for child in children] == [0, 0]
+        assert time.perf_counter() - started < 10.0
         message = str(failure.value)
-        for index in range(SMALL.shards):
-            assert f"shard {index} failed (bad stdout line " \
-                   f"'Traceback? not json xxx" in message
+        assert re.match(r"shard [01] failed \(bad stdout line "
+                        r"'Traceback\? not json xxx", message), message
         assert "x" * 100 not in message  # the line is truncated
+        assert "..." in message
+        assert all(child.returncode is not None
+                   for child in children.values())
+
+    def test_failed_shard_stops_a_hung_sibling(self, exit_or_sleep,
+                                               route_spawns):
+        # Shard 0 dies at once while shard 1 would hang for minutes: the
+        # coordinator must raise now, name shard 0's failure and report
+        # that it stopped shard 1 (killed and reaped).
+        children = route_spawns(lambda child: exit_or_sleep(
+            "1" if child.name == "shard 0" else "sleep"))
+        started = time.perf_counter()
+        with pytest.raises(SimulationError) as failure:
+            run_sharded_cluster(SMALL, isolate=True)
+        assert time.perf_counter() - started < 10.0
+        assert str(failure.value) \
+            == "shard 0 failed (exit 1); stopped shard 1"
+        assert children["shard 1"].returncode == -9
 
 
 class TestMergeShardResults:

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.common import runner
 from repro.model.calibration import DEFAULT_CALIBRATION
 from repro.sim.kernel import Environment
 from repro.sim.machine import Machine
@@ -37,12 +38,14 @@ def calibration():
     return DEFAULT_CALIBRATION
 
 
-#: A child that writes ~1.2 MB to stderr (far past a pipe buffer), then
-#: ``{}`` to stdout, then exits with the code given on its command line.
+#: A child that writes ~1.2 MB to stderr (far past a pipe buffer), then —
+#: given ``result`` as its second argument — an empty result message to
+#: stdout, then exits with the code given as its first argument.
 _STDERR_FLOOD = (
     "import sys\n"
     "sys.stderr.write('noise\\n' * 200_000 + 'last words\\n')\n"
-    "print('{}')\n"
+    "if sys.argv[2:] == ['result']:\n"
+    "    print('{\"type\": \"result\", \"payload\": {}}')\n"
     "sys.exit(int(sys.argv[1]))\n"
 )
 
@@ -54,6 +57,26 @@ _STDOUT_GARBAGE = (
     "for n in range(20_000):\n"
     "    print(json.dumps({'type': 'progress', 'shard': 0,\n"
     "                      'completed': n, 'rss_mb': 1.0}))\n"
+)
+
+#: A child that exits at once with the code given on its command line, or
+#: sleeps for ten minutes when given ``sleep``.
+_EXIT_OR_SLEEP = (
+    "import sys, time\n"
+    "if sys.argv[1] == 'sleep':\n"
+    "    time.sleep(600)\n"
+    "sys.exit(int(sys.argv[1]))\n"
+)
+
+#: A well-behaved child: sleeps the seconds given as its second argument,
+#: then sends a progress and a result message carrying its first argument
+#: (the result line without a final newline).
+_PROTOCOL_CHILD = (
+    "import json, sys, time\n"
+    "time.sleep(float(sys.argv[2]))\n"
+    "print(json.dumps({'type': 'progress', 'n': sys.argv[1]}))\n"
+    "sys.stdout.write(json.dumps({'type': 'result',\n"
+    "                             'payload': {'n': sys.argv[1]}}))\n"
 )
 
 
@@ -90,10 +113,43 @@ def stderr_flood():
 
 
 @pytest.fixture
+def exit_or_sleep():
+    """Spawner of children that exit at once or sleep, all killed after
+    30 s."""
+    yield from _watched_children(_EXIT_OR_SLEEP, 30.0)
+
+
+@pytest.fixture
+def protocol_child():
+    """Spawner of well-behaved protocol children, all killed after 30 s."""
+    yield from _watched_children(_PROTOCOL_CHILD, 30.0)
+
+
+@pytest.fixture
 def stdout_garbage():
     """Spawner of children whose first stdout line is not JSON, all
     killed after 15 s."""
     yield from _watched_children(_STDOUT_GARBAGE, 15.0)
+
+
+@pytest.fixture
+def route_spawns(monkeypatch):
+    """Route the child-process runner's spawns to a test spawner.
+
+    ``route_spawns(spawn)`` makes every child the runner starts come from
+    ``spawn(child)`` and returns the spawned processes by child name.
+    """
+    def route(spawn):
+        spawned: dict = {}
+
+        def spawn_child(child):
+            spawned[child.name] = spawn(child)
+            return spawned[child.name]
+
+        monkeypatch.setattr(runner, "_spawn", spawn_child)
+        return spawned
+
+    return route
 
 
 def run_all(env: Environment, until: float | None = None) -> None:

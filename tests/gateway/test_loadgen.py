@@ -142,7 +142,7 @@ class TestLoadResult:
         samples = [sample(i * 0.01, 200, 5.0) for i in range(20)]
         report = gateway_report([make_result(samples).cell()])
         validate_report(report)  # must not raise
-        assert report["schema"] == "faasbatch-bench/v7"
+        assert report["schema"] == "faasbatch-bench/v8"
         assert report["config"]["invocations"] == 20
 
 

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from repro.bench import validate_report
+from repro.bench import BENCH_SCHEMA, validate_report
 from repro.common.errors import ConfigurationError
 from repro.obs.slo import (
     SloSpec,
@@ -177,11 +177,11 @@ class TestCommittedArtifacts:
     def test_doctored_sim_throughput_fails(self):
         report = committed_artifact("BENCH_sim.json")
         for row in report["runs"]:
-            if row.get("engine") == "incremental":
-                row["events_per_sec"] = 100.0
+            row["events_per_sec"] = 100.0
         results = evaluate_artifact(report, default_specs())
         failed = [r for r in results if not r.ok]
-        assert failed and all(r.spec == "sim-throughput" for r in failed)
+        assert len(failed) == len(report["runs"])
+        assert all(r.spec == "sim-throughput" for r in failed)
 
 
 class TestEvaluateRecords:
@@ -221,8 +221,8 @@ class TestAnnotateReport:
         cells = {row["cell"]: row for row in annotated["gateway_cells"]}
         assert cells["faasbatch"]["slo"]["ok"] is True
         assert "slo" not in cells["vanilla"]  # control arm stays ungated
-        # The v6 validator accepts the attached blocks.
-        annotated["schema"] = "faasbatch-bench/v7"
+        # The current validator accepts the attached blocks.
+        annotated["schema"] = BENCH_SCHEMA
         validate_report(annotated)
 
     def test_slo_table_shape(self):

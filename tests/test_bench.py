@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import time
 
 import pytest
 
+from repro.baselines import KrakenParameters, SchedulerBuild, build_scheduler
 from repro.bench import (
     BASELINE_V1,
     BENCH_SCHEMA,
@@ -14,7 +17,6 @@ from repro.bench import (
     BenchConfig,
     TILE_INVOCATIONS,
     _baseline_table,
-    _collect_cell,
     bench_trace,
     cluster_cell_configs,
     cluster_report,
@@ -28,6 +30,9 @@ from repro.bench import (
     write_report,
 )
 from repro.common.errors import ConfigurationError
+from repro.common.runner import Child, ChildFailure, run_children
+from repro.platformsim.experiment import run_experiment
+from repro.workload.generator import fib_family_specs
 
 
 class TestBenchTrace:
@@ -75,14 +80,9 @@ class TestBenchReport:
         assert report["schema"] == BENCH_SCHEMA
 
     def test_all_cells_present(self, report):
-        cells = {(r["scheduler"], r["engine"]) for r in report["runs"]}
-        assert cells == {
-            ("Vanilla", "incremental"), ("Vanilla", "legacy"),
-            ("SFS", "incremental"),
-            ("Kraken", "incremental"), ("Kraken", "legacy"),
-            ("FaaSBatch", "incremental"), ("FaaSBatch", "legacy"),
-            (OBS_RUN_LABEL, "incremental"),
-        }
+        assert [r["scheduler"] for r in report["runs"]] \
+            == ["Vanilla", "SFS", "Kraken", "FaaSBatch", OBS_RUN_LABEL]
+        assert all("engine" not in row for row in report["runs"])
 
     def test_inline_mode_marks_rss_unisolated(self, report):
         assert report["isolation"] == "inline"
@@ -94,31 +94,40 @@ class TestBenchReport:
         assert overhead["plain_wall_clock_s"] > 0
         assert overhead["obs_wall_clock_s"] > 0
         # The obs run simulates the exact same scenario.
-        by_cell = {(r["scheduler"], r["engine"]): r for r in report["runs"]}
-        plain = by_cell[("FaaSBatch", "incremental")]
-        obs = by_cell[(OBS_RUN_LABEL, "incremental")]
+        by_cell = {r["scheduler"]: r for r in report["runs"]}
+        plain = by_cell["FaaSBatch"]
+        obs = by_cell[OBS_RUN_LABEL]
         assert obs["sim_completion_ms"] == plain["sim_completion_ms"]
         assert obs["invocations"] == plain["invocations"]
 
-    def test_obs_run_excluded_from_speedup(self, report):
-        assert OBS_RUN_LABEL not in report["speedup"]["per_scheduler"]
+    def test_engines_agree_on_simulated_results(self):
+        # The bench cells run the lazy engine only; on the bench scenario
+        # it must match the eager reference in outcome, never just in
+        # wall-clock.
+        config = BenchConfig(invocations=60, functions=2, seed=13,
+                             window_ms=150.0)
+        trace = bench_trace(config)
+        specs = fib_family_specs(config.functions)
+        build = SchedulerBuild(window_ms=config.window_ms)
 
-    def test_engines_agree_on_simulated_results(self, report):
-        # The engines must differ only in wall-clock, never in outcome.
-        by_cell = {(r["scheduler"], r["engine"]): r for r in report["runs"]}
-        for name in ("Vanilla", "Kraken", "FaaSBatch"):
-            incremental = by_cell[(name, "incremental")]
-            legacy = by_cell[(name, "legacy")]
-            assert incremental["sim_completion_ms"] \
-                == legacy["sim_completion_ms"]
-            assert incremental["invocations"] == legacy["invocations"]
+        def run(name, engine):
+            return run_experiment(build_scheduler(name, build), trace, specs,
+                                  workload_label="bench",
+                                  strict_memory=False, cpu_engine=engine)
 
-    def test_speedup_table_covers_fair_share_schedulers(self, report):
-        speedup = report["speedup"]
-        assert set(speedup["per_scheduler"]) \
-            == {"Vanilla", "Kraken", "FaaSBatch"}
-        assert speedup["overall_wall_clock"] > 0
-        assert speedup["max"] == max(speedup["per_scheduler"].values())
+        def outcome(result):
+            return (result.completion_ms, [
+                (inv.invocation_id, inv.arrival_ms, inv.execution_start_ms,
+                 inv.completed_ms) for inv in result.invocations])
+
+        for name in ("vanilla", "kraken", "faasbatch"):
+            lazy = run(name, "incremental")
+            assert len(lazy.invocations) == len(trace)
+            assert outcome(lazy) == outcome(run(name, "legacy")), name
+            if name == "vanilla":
+                build = dataclasses.replace(
+                    build, kraken_parameters=KrakenParameters
+                    .from_invocations(lazy.successful_invocations()))
 
     def test_baseline_null_off_scenario(self, report):
         # The small test scenario differs from the committed baseline's,
@@ -138,19 +147,12 @@ class TestBenchReport:
         validate_report(loaded)
         assert loaded == report
 
-    def test_skip_legacy_omits_speedup(self):
-        report = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False)
-        validate_report(report)
-        assert report["speedup"] is None
-        assert {r["engine"] for r in report["runs"]} == {"incremental"}
-
 
 class TestSubprocessIsolation:
     @pytest.fixture(scope="class")
     def report(self):
         return run_bench(BenchConfig(invocations=40, functions=2),
-                         skip_legacy=True, isolate=True, parallel=2)
+                         isolate=True, parallel=2)
 
     def test_schema_validates(self, report):
         validate_report(report)
@@ -159,11 +161,10 @@ class TestSubprocessIsolation:
 
     def test_matches_inline_simulated_results(self, report):
         inline = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False)
-        key = lambda r: (r["scheduler"], r["engine"])  # noqa: E731
-        sub_rows = {key(r): r for r in report["runs"]}
+                           isolate=False)
+        sub_rows = {r["scheduler"]: r for r in report["runs"]}
         for row in inline["runs"]:
-            other = sub_rows[key(row)]
+            other = sub_rows[row["scheduler"]]
             assert other["sim_completion_ms"] == row["sim_completion_ms"]
             assert other["kernel_events"] == row["kernel_events"]
             assert other["invocations"] == row["invocations"]
@@ -174,23 +175,43 @@ class TestSubprocessIsolation:
 
 
 class TestCellPipes:
-    SPEC = {"scheduler": "Vanilla", "engine": "incremental"}
+    CELL = Child("bench cell Vanilla", "repro.bench", {})
 
-    def test_stderr_flood_then_success(self, stderr_flood):
-        proc = stderr_flood(0)
-        assert _collect_cell(proc, self.SPEC) == {}
-        assert proc.returncode == 0
+    def test_stderr_flood_then_success(self, stderr_flood, route_spawns):
+        children = route_spawns(lambda _child: stderr_flood(0, "result"))
+        assert run_children([self.CELL]) == [{}]
+        assert children["bench cell Vanilla"].returncode == 0
 
-    def test_stderr_flood_then_failure_keeps_tail(self, stderr_flood):
-        proc = stderr_flood(1)
-        with pytest.raises(RuntimeError, match=r"(?s)exit 1\).*last words"):
-            _collect_cell(proc, self.SPEC)
+    def test_stderr_flood_then_failure_keeps_tail(self, stderr_flood,
+                                                  route_spawns):
+        route_spawns(lambda _child: stderr_flood(1, "result"))
+        with pytest.raises(ChildFailure,
+                           match=r"(?s)^bench cell Vanilla failed \(exit 1\):"
+                                 r".*last words$"):
+            run_children([self.CELL])
+
+    def test_failed_cell_stops_its_batch_siblings(self, exit_or_sleep,
+                                                  route_spawns):
+        # Under --parallel 2 the first cell dies at once while its batch
+        # sibling would run for minutes: the run must fail now, and the
+        # sibling must be killed and reaped, not leaked.
+        children = route_spawns(lambda child: exit_or_sleep(
+            "1" if child.name == "bench cell Vanilla" else "sleep"))
+        started = time.perf_counter()
+        with pytest.raises(ChildFailure) as failure:
+            run_bench(BenchConfig(invocations=40, functions=2),
+                      parallel=2, schedulers="vanilla,sfs")
+        assert time.perf_counter() - started < 10.0
+        assert str(failure.value).startswith(
+            "bench cell Vanilla failed (exit 1); stopped bench cell SFS")
+        assert list(children) == ["bench cell Vanilla", "bench cell SFS"]
+        assert children["bench cell SFS"].returncode == -9
 
 
 class TestProfile:
     def test_profile_rows_embedded(self):
         report = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False, profile_top=5)
+                           isolate=False, profile_top=5)
         validate_report(report)
         for row in report["runs"]:
             assert row["profiled"] is True
@@ -207,8 +228,8 @@ class TestProfile:
 class TestBaselineTable:
     def _synthetic_runs(self, factor=2.0):
         runs = []
-        for (scheduler, engine), (wall, events) in BASELINE_V1.items():
-            runs.append({"scheduler": scheduler, "engine": engine,
+        for scheduler, (wall, events) in BASELINE_V1.items():
+            runs.append({"scheduler": scheduler,
                          "wall_clock_s": wall / factor,
                          "kernel_events": events})
         return runs
@@ -217,10 +238,7 @@ class TestBaselineTable:
         table = _baseline_table(self._synthetic_runs(2.0), BenchConfig())
         aggregate = table["aggregate_events_per_sec"]
         assert aggregate["speedup"] == pytest.approx(2.0, abs=0.02)
-        assert aggregate["all_cells_speedup"] == pytest.approx(2.0, abs=0.02)
-        assert aggregate["cells"] == sum(
-            1 for (_, engine) in BASELINE_V1 if engine == "incremental")
-        assert aggregate["all_cells"] == len(BASELINE_V1)
+        assert aggregate["cells"] == len(BASELINE_V1)
         assert len(table["per_cell"]) == len(BASELINE_V1)
         for cell in table["per_cell"].values():
             assert cell["wall_clock_speedup"] == pytest.approx(2.0,
@@ -244,30 +262,23 @@ class TestValidateReport:
         with pytest.raises(ValueError):
             validate_report({"schema": "something-else"})
 
-    def test_rejects_missing_speedup_with_legacy_column(self):
-        report = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False)
-        report["engines"] = ["incremental", "legacy"]
-        with pytest.raises(ValueError):
-            validate_report(report)
-
     def test_rejects_negative_metric(self):
         report = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False)
+                           isolate=False)
         report["runs"][0]["wall_clock_s"] = -1.0
         with pytest.raises(ValueError):
             validate_report(report)
 
     def test_rejects_missing_rss_isolated(self):
         report = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False)
+                           isolate=False)
         del report["runs"][0]["rss_isolated"]
         with pytest.raises(ValueError):
             validate_report(report)
 
     def test_rejects_missing_baseline_key(self):
         report = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False)
+                           isolate=False)
         del report["baseline"]
         with pytest.raises(ValueError):
             validate_report(report)
@@ -276,7 +287,7 @@ class TestValidateReport:
 class TestAtomicWrites:
     def _report(self):
         return run_bench(BenchConfig(invocations=40, functions=2),
-                         skip_legacy=True, isolate=False)
+                         isolate=False)
 
     def test_failed_write_preserves_previous_artifact(self, tmp_path):
         path = tmp_path / "BENCH_sim.json"
@@ -452,7 +463,7 @@ class TestSchedulerSelection:
     CONFIG = BenchConfig(invocations=40, functions=2)
 
     def test_selection_runs_only_selected(self):
-        report = run_bench(self.CONFIG, skip_legacy=True, isolate=False,
+        report = run_bench(self.CONFIG, isolate=False,
                            schedulers="hiku,datadriven")
         validate_report(report)
         assert report["schedulers"] == ["Hiku", "DataDriven"]
@@ -461,12 +472,12 @@ class TestSchedulerSelection:
         assert report["obs_overhead"] is None
 
     def test_rows_follow_registry_order_not_selection_order(self):
-        report = run_bench(self.CONFIG, skip_legacy=True, isolate=False,
+        report = run_bench(self.CONFIG, isolate=False,
                            schedulers="datadriven,vanilla")
         assert report["schedulers"] == ["Vanilla", "DataDriven"]
 
     def test_faasbatch_selection_keeps_obs_cell(self):
-        report = run_bench(self.CONFIG, skip_legacy=True, isolate=False,
+        report = run_bench(self.CONFIG, isolate=False,
                            schedulers="faasbatch")
         validate_report(report)
         assert [r["scheduler"] for r in report["runs"]] \
@@ -475,36 +486,21 @@ class TestSchedulerSelection:
 
     def test_kraken_requires_vanilla(self):
         with pytest.raises(ValueError, match="add vanilla"):
-            run_bench(self.CONFIG, skip_legacy=True, isolate=False,
+            run_bench(self.CONFIG, isolate=False,
                       schedulers="kraken,sfs")
 
     def test_unknown_scheduler_raises(self):
         with pytest.raises(ConfigurationError, match="unknown scheduler"):
-            run_bench(self.CONFIG, skip_legacy=True, isolate=False,
+            run_bench(self.CONFIG, isolate=False,
                       schedulers="warp-drive")
 
-    def test_legacy_engine_skipped_without_fair_share_trio(self):
-        report = run_bench(self.CONFIG, isolate=False, schedulers="hiku")
-        validate_report(report)
-        assert report["engines"] == ["incremental"]
-        assert report["speedup"] is None
-
-    def test_partial_legacy_speedup_table(self):
-        report = run_bench(self.CONFIG, isolate=False,
-                           schedulers="vanilla,hiku")
-        validate_report(report)
-        assert set(report["speedup"]["per_scheduler"]) == {"Vanilla"}
-        # Hiku only exists in the incremental engine.
-        assert ("Hiku", "legacy") not in {
-            (r["scheduler"], r["engine"]) for r in report["runs"]}
-
     def test_default_selection_matches_classic_report(self):
-        report = run_bench(self.CONFIG, skip_legacy=True, isolate=False)
+        report = run_bench(self.CONFIG, isolate=False)
         assert report["schedulers"] == ["Vanilla", "SFS", "Kraken",
                                         "FaaSBatch"]
 
     def test_validator_rejects_obs_block_without_faasbatch(self):
-        report = run_bench(self.CONFIG, skip_legacy=True, isolate=False,
+        report = run_bench(self.CONFIG, isolate=False,
                            schedulers="vanilla")
         report["obs_overhead"] = {"plain_wall_clock_s": 1.0,
                                   "obs_wall_clock_s": 1.0,
